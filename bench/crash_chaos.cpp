@@ -1,6 +1,6 @@
 // Restart-chaos harness for the crash-consistent durability layer
 // (ISSUE 10 tentpole). Drives a scripted mix of durable traffic —
-// provisioning, master rotation, diversified enrollment, user
+// master rotation, diversified device enrollment and revocation, user
 // enrollment, stored records, session handshakes, compactions — against
 // a WAL-backed CloudServer, kills the "process" with a SimulatedCrash at
 // every registered crash point (exhaustive site sweep; --smoke runs
@@ -16,8 +16,9 @@
 //      let an observer replay a recorded handshake.
 //   4. Counters monotonic across restart: the journal LSN never rewinds
 //      past an acknowledged write.
-//   5. No plaintext secret bytes on disk: device keys and the master
-//      key never appear in any state file (the store is sealed).
+//   5. No plaintext secret bytes on disk: the master key, the storage
+//      key and the (never stored) derived device keys appear in no state
+//      file (the store is sealed).
 //   6. No sealing-nonce reuse: across every file a crash leaves behind
 //      (including stranded .tmp snapshots recovery never reads), no
 //      AES-CTR nonce ever covers two different ciphertexts — keystream
@@ -120,11 +121,11 @@ Options parse_options(int argc, char** argv) {
   return options;
 }
 
-// The cast of the scripted workload. The key bytes are distinctive
-// ascending runs so the on-disk secret scan (invariant 5) cannot
-// false-negative on them.
-constexpr std::uint64_t kLegacyA = 1;
-constexpr std::uint64_t kLegacyB = 2;
+// The cast of the scripted workload. The master key bytes are a
+// distinctive ascending run so the on-disk secret scan (invariant 5)
+// cannot false-negative on them.
+constexpr std::uint64_t kDeviceA = 1;
+constexpr std::uint64_t kDeviceB = 2;
 constexpr std::uint64_t kEnrolled = 7;
 constexpr std::uint32_t kEpoch = 1;
 constexpr std::uint64_t kCryptoSeed = 0x1234;
@@ -259,7 +260,6 @@ struct Rig {
     analysis.threads = 1;
     cloud::ServiceConfig service;
     service.quality_gate = false;
-    service.allow_legacy_plane = false;
     service.shards = 4;
     server = std::make_unique<cloud::CloudServer>(
         analysis, auth::CytoAlphabet{}, auth::ParticleClassifier::train({}),
@@ -389,9 +389,9 @@ void run_workload(Rig& rig, Ledger& led, Invariants& inv) {
   const auto code2 = code_of({1, 2});
   const auto ack_lsn = [&] { led.acked_lsn = rig.durable->last_lsn(); };
 
-  const auto provision = [&](std::uint64_t id, std::uint8_t base) {
+  const auto enroll = [&](std::uint64_t id) {
     led.allowed_devices.insert(id);
-    rig.server->provision_device(id, pattern_key(base));
+    rig.server->enroll_device(id);
     led.acked_devices.insert(id);
     ack_lsn();
   };
@@ -420,25 +420,22 @@ void run_workload(Rig& rig, Ledger& led, Invariants& inv) {
     ack_lsn();
   };
 
-  provision(kLegacyA, 0xA0);
+  enroll(kDeviceA);
   led.allowed_epoch = true;
   rig.server->rotate_master_key(kEpoch, pattern_key(0xC0));
   led.acked_epoch = true;
   ack_lsn();
-  led.allowed_devices.insert(kEnrolled);
-  rig.server->enroll_device(kEnrolled);
-  led.acked_devices.insert(kEnrolled);
-  ack_lsn();
+  enroll(kEnrolled);
   enroll_user("alice", code1);
   handshake();  // 5th append: auto-compaction fires here
   store(code1, 11, 0x11);
-  provision(kLegacyB, 0xB0);
+  enroll(kDeviceB);
   handshake();
   store(code1, 12, 0x12);
   rig.durable->compact(*rig.server);
-  led.allowed_revoked.insert(kLegacyA);
-  if (rig.server->revoke_device(kLegacyA)) {
-    led.acked_revoked.insert(kLegacyA);
+  led.allowed_revoked.insert(kDeviceA);
+  if (rig.server->revoke_device(kDeviceA)) {
+    led.acked_revoked.insert(kDeviceA);
   }
   ack_lsn();
   enroll_user("bob", code2);
@@ -508,13 +505,13 @@ std::size_t verify(Rig& rig, Ledger& led, const std::string& dir,
     }
   }
 
-  // 1 + 2: registry.
+  // 1 + 2: registry. Membership is read from the snapshot, not from a
+  // key lookup: an enrollment acked before the master rotation has no
+  // derivable key yet but must still survive.
+  const auto enrolled = rig.server->devices().snapshot().enrolled;
   for (const auto id : led.acked_devices) {
-    const bool present = id == kEnrolled
-                             ? rig.server->devices()
-                                   .lookup_epoch(id, kEpoch)
-                                   .has_value()
-                             : rig.server->devices().lookup(id).has_value();
+    const bool present =
+        std::binary_search(enrolled.begin(), enrolled.end(), id);
     // Revocation tombstones a device: a revoked id no longer resolves,
     // and is_revoked is the surviving acked fact. An *in-flight* revoke
     // (allowed, unacked) may also have committed its append.
@@ -561,11 +558,18 @@ std::size_t verify(Rig& rig, Ledger& led, const std::string& dir,
     }
   }
 
-  // 5: no plaintext key material in any state file (or torn .tmp).
-  for (const auto base : {0xA0, 0xB0, 0xC0}) {
-    if (on_disk(dir, pattern_key(static_cast<std::uint8_t>(base)))) {
-      fail("plaintext secret on disk",
-           "key pattern base " + std::to_string(base));
+  // 5: no plaintext key material in any state file (or torn .tmp):
+  // neither the sealed secrets nor the device keys the server derives
+  // on demand and must never store.
+  const std::pair<const char*, std::vector<std::uint8_t>> secrets[] = {
+      {"master key", pattern_key(0xC0)},
+      {"storage key", storage_key()},
+      {"device key", crypto::diversify_device_key(pattern_key(0xC0),
+                                                  kEnrolled, kEpoch)},
+  };
+  for (const auto& [what, bytes] : secrets) {
+    if (on_disk(dir, bytes)) {
+      fail("plaintext secret on disk", what);
       ++inv.secret_leaks;
     }
   }

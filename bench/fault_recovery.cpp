@@ -14,6 +14,7 @@
 
 #include "bench_common.h"
 #include "cloud/server.h"
+#include "crypto/cmac.h"
 #include "phone/relay.h"
 
 using namespace medsen;
@@ -62,8 +63,13 @@ Counters sweep(const FaultSetup& setup, std::size_t sessions) {
                                      auth::CytoAlphabet{},
                                      auth::ParticleClassifier::train({}));
     phone::PhoneRelay relay;
-    const std::vector<std::uint8_t> mac_key = {0xB0, 0x0B};
-    server.provision_device(relay.config().device_id, mac_key);
+    const std::vector<std::uint8_t> master(16, 0xB0);
+    constexpr std::uint32_t kEpoch = 1;
+    const std::uint64_t device = relay.config().device_id;
+    server.rotate_master_key(kEpoch, master);
+    server.enroll_device(device);
+    controller.enable_session_crypto(
+        device, crypto::diversify_device_key(master, device, kEpoch), kEpoch);
 
     sim::SampleSpec sample;
     sample.components = {{sim::ParticleType::kBead780, 300.0}};
@@ -78,7 +84,7 @@ Counters sweep(const FaultSetup& setup, std::size_t sessions) {
         };
 
     const auto outcome = relay.run_diagnostic_session(
-        controller, duration_s, acquire, 1 + run * 100, server, mac_key);
+        controller, duration_s, acquire, 1 + run * 100, server);
     ++counters.sessions;
     counters.attempts += outcome.attempts;
     counters.rejections += outcome.quality_rejections;

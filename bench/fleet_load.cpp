@@ -1,5 +1,5 @@
 // Fleet-scale closed-loop load harness for the sharded cloud service
-// layer (ROADMAP open item 1). Provisions 10^4..10^6 devices, then
+// layer (ROADMAP open item 1). Enrolls 10^4..10^6 devices, then
 // drives mixed traffic — fresh uploads, idempotent replays, auth passes,
 // malformed payloads, bad MACs, unknown devices — from a configurable
 // worker count with Poisson or bursty arrivals, optionally through a
@@ -8,13 +8,14 @@
 // (the shared bench::JsonCounters schema), seeding the perf trajectory
 // future re-anchors regress against.
 //
-// The whole harness runs with `allow_legacy_plane = false`: every
-// command rides a negotiated session (devices handshake lazily on first
-// use, and the fleet is partitioned across workers because SessionCrypto
-// is single-threaded state). A slice of mixed traffic still sends
-// counter-0 static-key envelopes on purpose — the server must refuse
-// each one with kAuthRequired, and the harness fails if any slips
-// through.
+// Every device key is diversified from one fleet master, so the server
+// stores no per-device secret, and every command rides a negotiated
+// session (devices handshake lazily on first use, and the fleet is
+// partitioned across workers because SessionCrypto is single-threaded
+// state). A slice of mixed traffic still sends counter-0 commands signed
+// with the device's long-term key on purpose — the retired static-key
+// plane — and the server must refuse each one with kAuthRequired; the
+// harness fails if any slips through.
 //
 // A second scaling phase isolates the service layer itself: a replay
 // storm (registry lookup + MAC verify + session-cache hit, no analysis)
@@ -177,13 +178,31 @@ struct SplitMix {
   }
 };
 
-std::vector<std::uint8_t> device_key(std::uint64_t device_id,
-                                     std::uint64_t seed) {
-  SplitMix rng{device_id ^ seed};
+/// The master-key epoch the mixed and scaling phases enroll under.
+constexpr std::uint32_t kFleetEpoch = 1;
+
+/// The fleet master for a seed; every device key derives from it.
+std::vector<std::uint8_t> fleet_master(std::uint64_t seed) {
+  SplitMix rng{seed};
   std::vector<std::uint8_t> key(16);
   for (std::size_t i = 0; i < key.size(); ++i)
     key[i] = static_cast<std::uint8_t>(rng.next() & 0xFF);
   return key;
+}
+
+/// The device's long-term key, as personalization burns it in.
+std::vector<std::uint8_t> device_key(std::uint64_t device_id,
+                                     std::uint64_t seed) {
+  return crypto::diversify_device_key(fleet_master(seed), device_id,
+                                      kFleetEpoch);
+}
+
+/// Install the fleet master and enroll devices [0, devices).
+void enroll_fleet(cloud::CloudServer& server, std::size_t devices,
+                  std::uint64_t seed) {
+  server.rotate_master_key(kFleetEpoch, fleet_master(seed));
+  for (std::uint64_t device = 0; device < devices; ++device)
+    server.enroll_device(device);
 }
 
 /// A small but analyzable acquisition: one carrier, ~2 s at 450 Hz, a
@@ -216,7 +235,6 @@ cloud::CloudServer make_server(const Options& options, std::size_t shards,
   service.max_inflight = options.max_inflight;
   service.shards = shards;
   service.session_cache_capacity = cache_capacity;
-  service.allow_legacy_plane = false;
   cloud::AnalysisConfig analysis;
   analysis.threads = 1;  // the workers are the parallelism under test
   return cloud::CloudServer(analysis, auth::CytoAlphabet{},
@@ -231,7 +249,7 @@ struct WorkerResult {
   std::uint64_t transport_garbled = 0;  ///< arrived undecodable
   std::uint64_t handshakes = 0;         ///< lazy first-use negotiations
   std::uint64_t handshake_failures = 0;
-  std::uint64_t legacy_attempts = 0;  ///< deliberate static-key sends
+  std::uint64_t legacy_attempts = 0;  ///< deliberate counter-0 commands
   std::uint64_t legacy_refused = 0;   ///< ... answered kAuthRequired
 };
 
@@ -285,7 +303,7 @@ WorkerResult run_worker(cloud::CloudServer& server, const Options& options,
     auto& slot = sessions[device];
     if (slot == nullptr)
       slot = std::make_unique<core::SessionCrypto>(
-          device, device_key(device, options.seed), /*key_epoch=*/0,
+          device, device_key(device, options.seed), kFleetEpoch,
           options.seed ^ device);
     if (!slot->active()) {
       ++result.handshakes;
@@ -385,9 +403,9 @@ WorkerResult run_worker(cloud::CloudServer& server, const Options& options,
         request.payload[0] ^= 0xFF;  // tampering relay: kBadMac
       }
     } else if (op < 0.95) {
-      // Deliberate legacy-plane send: a counter-0 command on the
-      // provisioned static key. With allow_legacy_plane=false the server
-      // must refuse every one of these with kAuthRequired.
+      // Deliberate legacy-plane send: a counter-0 command signed with
+      // the device's long-term key. Counter 0 is the handshake's alone,
+      // so the server must refuse every one of these with kAuthRequired.
       legacy_attempt = true;
       ++result.legacy_attempts;
       request = net::make_envelope(net::MessageType::kSignalUpload,
@@ -399,7 +417,7 @@ WorkerResult run_worker(cloud::CloudServer& server, const Options& options,
           net::MessageType::kSignalUpload, next_session++,
           static_cast<std::uint64_t>(options.devices) + 1 +
               (rng.next() % 1000),
-          upload_payload, stray_key);  // never provisioned
+          upload_payload, stray_key);  // never enrolled
     }
 
     const auto note_response = [&](const net::Envelope& arrived,
@@ -463,12 +481,11 @@ double replay_storm_rps(const Options& options, std::size_t shards,
   auto server = make_server(options, shards,
                             /*cache_capacity=*/0);  // unbounded: no evictions
   const std::size_t devices = options.scaling_devices;
+  enroll_fleet(server, devices, options.seed);
   std::vector<net::Envelope> replays(devices);
   for (std::uint64_t device = 0; device < devices; ++device) {
-    const auto key = device_key(device, options.seed);
-    server.provision_device(device, key);
-    core::SessionCrypto crypto(device, key, /*key_epoch=*/0,
-                               options.seed ^ device);
+    core::SessionCrypto crypto(device, device_key(device, options.seed),
+                               kFleetEpoch, options.seed ^ device);
     if (!crypto.complete(server.handle(
             crypto.make_challenge((1ull << 62) + device)))) {
       std::fprintf(stderr, "scaling: handshake failed for device %llu\n",
@@ -709,15 +726,14 @@ int main(int argc, char** argv) {
 
   auto server = make_server(options, options.shards, options.cache_capacity);
 
-  // Phase 1: provision the fleet.
+  // Phase 1: enroll the fleet (ids only; keys derive from the master).
   const auto provision_start = std::chrono::steady_clock::now();
-  for (std::uint64_t device = 0; device < options.devices; ++device)
-    server.provision_device(device, device_key(device, options.seed));
+  enroll_fleet(server, options.devices, options.seed);
   const double provision_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     provision_start)
           .count();
-  std::printf("provisioned %zu devices in %.2f s (%zu registry shards)\n",
+  std::printf("enrolled %zu devices in %.2f s (%zu registry shards)\n",
               options.devices, provision_s, server.devices().shard_count());
 
   // Phase 2: mixed closed-loop traffic.

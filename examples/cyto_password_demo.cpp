@@ -12,6 +12,7 @@
 #include "cloud/server.h"
 #include "core/controller.h"
 #include "core/encryptor.h"
+#include "crypto/cmac.h"
 #include "phone/relay.h"
 
 using namespace medsen;
@@ -37,13 +38,9 @@ int main() {
               auth::birthday_collision_probability(alphabet, 10));
 
   // --- Enrollment: the clinic issues Alice a bead-coded pipette kit.
-  // The service refuses legacy static-key traffic: the bead census rides
-  // a negotiated session like any other command.
-  cloud::ServiceConfig service;
-  service.allow_legacy_plane = false;
+  // The bead census rides a negotiated session like any other command.
   auto server = cloud::CloudServer(cloud::AnalysisConfig{}, alphabet,
-                                   auth::ParticleClassifier::train({}),
-                                   auth::VerifierConfig{}, nullptr, service);
+                                   auth::ParticleClassifier::train({}));
   crypto::ChaChaRng clinic_rng(99);
   const auth::CytoCode alice_code =
       server.enrollments().enroll_random("alice", clinic_rng);
@@ -67,17 +64,23 @@ int main() {
   const auto acquisition = encryptor.acquire(
       sample, controller.session_key_schedule_for_testing(), duration_s, 55);
 
+  // Personalization: the service keeps the epoch master and the device
+  // id; the controller holds the key diversified from them.
   phone::PhoneRelay relay;
-  const std::vector<std::uint8_t> mac_key = {7, 7};
-  server.provision_device(relay.config().device_id, mac_key);
-  controller.enable_session_crypto(relay.config().device_id, mac_key);
+  const std::vector<std::uint8_t> master(16, 0x77);
+  constexpr std::uint32_t kEpoch = 1;
+  const std::uint64_t device = relay.config().device_id;
+  server.rotate_master_key(kEpoch, master);
+  server.enroll_device(device);
+  controller.enable_session_crypto(
+      device, crypto::diversify_device_key(master, device, kEpoch), kEpoch);
   if (!relay.establish_session(controller, 1, server)) {
     std::printf("session handshake failed\n");
     return 1;
   }
-  const auto decision_envelope = relay.relay_auth(
-      acquisition.signals, 0, controller.session_volume_ul(), server, {},
-      duration_s, controller.session_crypto());
+  const auto decision_envelope =
+      relay.relay_auth(acquisition.signals, controller.session_volume_ul(),
+                       server, *controller.session_crypto(), duration_s);
   const auto decision =
       net::AuthDecisionPayload::deserialize(decision_envelope.payload);
   std::printf("authentication: %s (matched '%s', distance %.3f)\n",
@@ -106,9 +109,8 @@ int main() {
       impostor, controller.session_key_schedule_for_testing(), duration_s,
       77);
   const auto impostor_decision = net::AuthDecisionPayload::deserialize(
-      relay.relay_auth(impostor_acq.signals, 0,
-                       controller.session_volume_ul(), server, {},
-                       duration_s, controller.session_crypto())
+      relay.relay_auth(impostor_acq.signals, controller.session_volume_ul(),
+                       server, *controller.session_crypto(), duration_s)
           .payload);
   std::printf("impostor with code %s: %s\n", guess.to_string().c_str(),
               impostor_decision.authenticated

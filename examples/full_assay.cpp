@@ -13,13 +13,15 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "cloud/persistence.h"
+#include "cloud/durability.h"
 #include "cloud/server.h"
 #include "core/controller.h"
 #include "core/encryptor.h"
 #include "core/escrow.h"
+#include "crypto/cmac.h"
 #include "phone/relay.h"
 #include "sim/capture.h"
+#include "util/fileio.h"
 
 using namespace medsen;
 
@@ -34,20 +36,38 @@ int main() {
   acq.carriers_hz = {5.0e5, 8.0e5, 2.0e6, 2.5e6};
 
   auth::CytoAlphabet alphabet;
-  // Production posture: the legacy static-key plane is off, so both the
-  // auth pass and the diagnostic pass ride one negotiated session.
-  cloud::ServiceConfig service;
-  service.allow_legacy_plane = false;
-  auto server = cloud::CloudServer(cloud::AnalysisConfig{}, alphabet,
-                                   auth::ParticleClassifier::train(
-                                       {acq.carriers_hz, 300, 0.06, 7}),
-                                   auth::VerifierConfig{}, nullptr, service);
+  // Production posture: the cloud journals every mutation (enrollment,
+  // stored record, handshake ordinal) to its write-ahead log before
+  // acknowledging it, and both the auth pass and the diagnostic pass
+  // ride one negotiated session.
+  cloud::DurabilityConfig durability;
+  durability.dir = "/tmp/medsen_full_assay";
+  const auto clear_state = [&] {
+    for (const char* file : {"journal.wal", "records.snap", "enroll.snap",
+                             "registry.snap", "sessions.snap"})
+      util::remove_file(durability.dir + "/" + file);
+  };
+  clear_state();
+  const auto make_server = [&] {
+    return cloud::CloudServer(
+        cloud::AnalysisConfig{}, alphabet,
+        auth::ParticleClassifier::train({acq.carriers_hz, 300, 0.06, 7}));
+  };
+  cloud::DurableState durable(durability);
+  auto server = make_server();
+  server.attach_durability(durable);
   core::Controller controller(key_params, design,
                               core::DiagnosticProfile::cd4_staging(), 404);
+  // Personalization: the cloud keeps the epoch master and the device id;
+  // the controller holds the key diversified from them.
   phone::PhoneRelay relay;
-  const std::vector<std::uint8_t> mac_key = {0xAB};
-  server.provision_device(relay.config().device_id, mac_key);
-  controller.enable_session_crypto(relay.config().device_id, mac_key);
+  const std::vector<std::uint8_t> master(16, 0xAB);
+  constexpr std::uint32_t kEpoch = 1;
+  const std::uint64_t device = relay.config().device_id;
+  server.rotate_master_key(kEpoch, master);
+  server.enroll_device(device);
+  controller.enable_session_crypto(
+      device, crypto::diversify_device_key(master, device, kEpoch), kEpoch);
   if (!relay.establish_session(controller, 1, server)) {
     std::printf("session handshake failed\n");
     return 1;
@@ -56,8 +76,8 @@ int main() {
 
   // --- 0. Enrollment (done once at the clinic).
   crypto::ChaChaRng clinic_rng(1);
-  const auto code = server.enrollments().enroll_random("patient-007",
-                                                       clinic_rng);
+  const auto code = auth::random_code(alphabet, clinic_rng);
+  server.enroll_user("patient-007", code);
   std::printf("[clinic] issued pipette kit with cyto-code %s\n",
               code.to_string().c_str());
 
@@ -87,9 +107,8 @@ int main() {
       assay_sample, controller.session_key_schedule_for_testing(),
       auth_duration, 11);
   const auto decision = net::AuthDecisionPayload::deserialize(
-      relay.relay_auth(auth_acq.signals, 0,
-                       controller.session_volume_ul(), server, {},
-                       auth_duration, controller.session_crypto())
+      relay.relay_auth(auth_acq.signals, controller.session_volume_ul(),
+                       server, *controller.session_crypto(), auth_duration)
           .payload);
   std::printf("[cloud ] authentication: %s as '%s' (distance %.2f)\n",
               decision.authenticated ? "ACCEPTED" : "REJECTED",
@@ -108,8 +127,8 @@ int main() {
   const auto dx_acq = encryptor.acquire(
       dx_sample, controller.session_key_schedule_for_testing(),
       dx_duration, 13);
-  const auto response = relay.relay_analysis(dx_acq.signals, 0, server, {},
-                                             controller.session_crypto());
+  const auto response = relay.relay_analysis(dx_acq.signals, server,
+                                             *controller.session_crypto());
   const auto report = core::PeakReport::deserialize(response.payload);
   // The decoded peaks include the password beads. The controller
   // classifies each gain-corrected peak by its multi-frequency shape
@@ -160,15 +179,17 @@ int main() {
               "(sensor decoded %.1f)\n",
               decoded.estimated_count, diagnosis.estimated_count);
 
-  // Persist the cloud state the way a real deployment would.
-  const std::string dir = "/tmp";
-  cloud::save_enrollments(server.enrollments(), dir + "/medsen_enroll.bin");
-  cloud::save_records(server.records(), dir + "/medsen_records.bin");
-  const auto reloaded = cloud::load_records(dir + "/medsen_records.bin");
-  std::printf("[cloud ] state persisted and reloaded: %zu record(s) on "
-              "disk\n",
-              reloaded.record_count());
-  std::remove((dir + "/medsen_enroll.bin").c_str());
-  std::remove((dir + "/medsen_records.bin").c_str());
+  // A restarted cloud recovers everything it acknowledged from the
+  // journal, the way a real deployment would.
+  {
+    cloud::DurableState restarted_state(durability);
+    auto restarted = make_server();
+    restarted.attach_durability(restarted_state);
+    std::printf("[cloud ] state journaled and recovered after restart: "
+                "%zu record(s), %zu enrollment(s)\n",
+                restarted.records().record_count(),
+                restarted.enrollments().size());
+  }
+  clear_state();
   return 0;
 }

@@ -11,21 +11,27 @@
 #include "cloud/server.h"
 #include "core/controller.h"
 #include "core/encryptor.h"
+#include "crypto/cmac.h"
 #include "phone/relay.h"
 
 using namespace medsen;
 
 namespace {
 
-// One at-home test. The device is provisioned once (in main); each
-// controller arms session crypto with the shared long-term key and
+// The fleet master of the one key epoch this example runs under.
+constexpr std::uint32_t kEpoch = 1;
+std::vector<std::uint8_t> master_key() {
+  return std::vector<std::uint8_t>(16, 0x01);
+}
+
+// One at-home test. The device is enrolled once (in main); each
+// controller arms session crypto with the device's diversified key and
 // handshakes on its first visit, so repeat visits ride the same
 // negotiated session with advancing command counters.
 core::Diagnosis run_visit(core::Controller& controller,
                           cloud::CloudServer& server,
-                          phone::PhoneRelay& relay,
-                          const std::vector<std::uint8_t>& mac_key,
-                          double cd4_per_ul, std::uint64_t seed) {
+                          phone::PhoneRelay& relay, double cd4_per_ul,
+                          std::uint64_t seed) {
   const auto design = sim::standard_design(9);
   sim::ChannelConfig channel;
   const double duration_s = 180.0;  // ~0.24 uL so counting noise is small
@@ -40,15 +46,18 @@ core::Diagnosis run_visit(core::Controller& controller,
       sample, controller.session_key_schedule_for_testing(), duration_s,
       seed);
 
+  const std::uint64_t device = relay.config().device_id;
   if (controller.session_crypto() == nullptr)
-    controller.enable_session_crypto(relay.config().device_id, mac_key);
+    controller.enable_session_crypto(
+        device, crypto::diversify_device_key(master_key(), device, kEpoch),
+        kEpoch);
   if (!controller.session_crypto()->active() &&
       !relay.establish_session(controller, seed, server)) {
     std::fprintf(stderr, "session handshake failed\n");
     std::exit(1);
   }
-  const auto response = relay.relay_analysis(acquisition.signals, 0, server,
-                                             {}, controller.session_crypto());
+  const auto response = relay.relay_analysis(acquisition.signals, server,
+                                             *controller.session_crypto());
   return controller.conclude(
       core::PeakReport::deserialize(response.payload));
 }
@@ -61,17 +70,14 @@ int main() {
   key_params.num_electrodes = design.num_outputs;
   key_params.gain_min = 0.8;  // precision-safe gain range (Section VI-B)
   key_params.gain_max = 1.6;
-  // Legacy static-key traffic is refused: every visit authenticates
-  // through a negotiated session.
-  cloud::ServiceConfig service;
-  service.allow_legacy_plane = false;
+  // Every visit authenticates through a negotiated session; the server
+  // stores only the epoch master and the enrolled id.
   auto server = cloud::CloudServer(cloud::AnalysisConfig{},
                                    auth::CytoAlphabet{},
-                                   auth::ParticleClassifier::train({}),
-                                   auth::VerifierConfig{}, nullptr, service);
+                                   auth::ParticleClassifier::train({}));
   phone::PhoneRelay relay;
-  const std::vector<std::uint8_t> mac_key = {1};
-  server.provision_device(relay.config().device_id, mac_key);
+  server.rotate_master_key(kEpoch, master_key());
+  server.enroll_device(relay.config().device_id);
 
   std::printf("=== cross-sectional screening ===\n");
   struct PatientCase {
@@ -88,8 +94,8 @@ int main() {
     core::Controller controller(key_params, design,
                                 core::DiagnosticProfile::cd4_staging(),
                                 seed * 13);
-    const auto diagnosis = run_visit(controller, server, relay, mac_key,
-                                     patient.cd4_per_ul, seed++);
+    const auto diagnosis =
+        run_visit(controller, server, relay, patient.cd4_per_ul, seed++);
     std::printf("%-22s true %4.0f/uL -> measured %6.0f/uL : %s%s\n",
                 patient.name, patient.cd4_per_ul,
                 diagnosis.concentration_per_ul, diagnosis.condition.c_str(),
@@ -103,7 +109,7 @@ int main() {
   double cd4 = 650.0;
   for (int visit = 0; visit < 6; ++visit) {
     const auto diagnosis =
-        run_visit(controller, server, relay, mac_key, cd4, 300 + visit);
+        run_visit(controller, server, relay, cd4, 300 + visit);
     std::printf("%d,%.0f,%.0f,%s\n", visit, cd4,
                 diagnosis.concentration_per_ul,
                 diagnosis.alert ? "yes" : "no");

@@ -12,6 +12,7 @@
 
 #include "cloud/server.h"
 #include "core/controller.h"
+#include "crypto/cmac.h"
 #include "phone/relay.h"
 
 using namespace medsen;
@@ -57,14 +58,14 @@ phone::RelayConfig lossy_config(double drop_rate) {
 
 int main() {
   const auto series = three_cell_series();
-  const std::vector<std::uint8_t> mac_key = {0xA5, 0x5A, 0x3C};
-  cloud::ServiceConfig service;
-  service.allow_legacy_plane = false;
+  const std::vector<std::uint8_t> master(16, 0xA5);
+  constexpr std::uint32_t kEpoch = 1;
+  const std::uint64_t device = phone::RelayConfig{}.device_id;
   auto server = cloud::CloudServer(cloud::AnalysisConfig{},
                                    auth::CytoAlphabet{},
-                                   auth::ParticleClassifier::train({}),
-                                   auth::VerifierConfig{}, nullptr, service);
-  server.provision_device(phone::RelayConfig{}.device_id, mac_key);
+                                   auth::ParticleClassifier::train({}));
+  server.rotate_master_key(kEpoch, master);
+  server.enroll_device(device);
 
   // The session crypto lives in the controller (the TCB); the handshake
   // runs over the clean link and the derived session keys then ride
@@ -75,7 +76,9 @@ int main() {
   key_params.num_electrodes = design.num_outputs;
   core::Controller controller(key_params, design,
                               core::DiagnosticProfile::cd4_staging(), 2006);
-  controller.enable_session_crypto(phone::RelayConfig{}.device_id, mac_key);
+  controller.enable_session_crypto(
+      device, crypto::diversify_device_key(master, device, kEpoch), kEpoch);
+  auto& session = *controller.session_crypto();
 
   // 1. Idealized link: the baseline answer.
   phone::PhoneRelay lossless;
@@ -83,8 +86,7 @@ int main() {
     std::printf("session handshake failed\n");
     return 1;
   }
-  const auto clean = lossless.relay_analysis(series, 0, server, {},
-                                             controller.session_crypto());
+  const auto clean = lossless.relay_analysis(series, server, session);
   const auto clean_report = core::PeakReport::deserialize(clean.payload);
   std::printf("lossless link : %zu peaks, uplink %.1f ms\n",
               clean_report.reference_peak_count(),
@@ -95,8 +97,7 @@ int main() {
   phone::PhoneRelay lossy(lossy_config(0.10));
   lossy.set_progress_callback(
       [](const std::string& msg) { std::printf("  [phone] %s\n", msg.c_str()); });
-  const auto noisy = lossy.relay_analysis(series, 0, server, {},
-                                          controller.session_crypto());
+  const auto noisy = lossy.relay_analysis(series, server, session);
   std::printf("lossy link    : report bit-identical: %s | retransmissions "
               "%zu, timeouts %zu, uplink %.1f ms\n",
               noisy.payload == clean.payload ? "yes" : "NO",
@@ -106,8 +107,7 @@ int main() {
   // 3. Black hole: the retry budget runs out and the phone analyzes the
   //    sample locally rather than losing the test session.
   phone::PhoneRelay offline(lossy_config(1.0));
-  const auto local = offline.relay_analysis(series, 0, server, {},
-                                            controller.session_crypto());
+  const auto local = offline.relay_analysis(series, server, session);
   const auto local_report = core::PeakReport::deserialize(local.payload);
   std::printf("dead link     : local fallback %s, %zu peaks found on-phone\n",
               offline.timing().local_fallback ? "engaged" : "NOT engaged",

@@ -20,6 +20,7 @@
 #include "core/controller.h"
 #include "core/encryptor.h"
 #include "core/percell.h"
+#include "crypto/cmac.h"
 #include "crypto/keymath.h"
 #include "phone/relay.h"
 
@@ -68,6 +69,19 @@ Args parse(int argc, char** argv, int start) {
   return args;
 }
 
+/// Personalize the dongle: the cloud stores only the epoch master and
+/// the enrolled id; the controller is armed with the key diversified
+/// from them.
+void personalize(cloud::CloudServer& server, core::Controller& controller,
+                 std::uint64_t device) {
+  const std::vector<std::uint8_t> master(16, 0x11);
+  constexpr std::uint32_t kEpoch = 1;
+  server.rotate_master_key(kEpoch, master);
+  server.enroll_device(device);
+  controller.enable_session_crypto(
+      device, crypto::diversify_device_key(master, device, kEpoch), kEpoch);
+}
+
 core::KeyParams key_params_for(std::size_t electrodes) {
   core::KeyParams params;
   params.num_electrodes = electrodes;
@@ -86,18 +100,13 @@ int cmd_diagnose(const Args& args) {
   core::Controller controller(params, design,
                               core::DiagnosticProfile::cd4_staging(),
                               args.seed * 7919);
-  cloud::ServiceConfig service;
-  service.allow_legacy_plane = false;
   auto server = cloud::CloudServer(cloud::AnalysisConfig{},
                                    auth::CytoAlphabet{},
-                                   auth::ParticleClassifier::train({}),
-                                   auth::VerifierConfig{}, nullptr, service);
+                                   auth::ParticleClassifier::train({}));
   phone::RelayConfig relay_config;
   relay_config.csv_format = args.csv;
   phone::PhoneRelay relay(relay_config);
-  const std::vector<std::uint8_t> mac_key = {0x11};
-  server.provision_device(relay.config().device_id, mac_key);
-  controller.enable_session_crypto(relay.config().device_id, mac_key);
+  personalize(server, controller, relay.config().device_id);
   if (!relay.establish_session(controller, args.seed, server)) {
     std::fprintf(stderr, "session handshake failed\n");
     return 1;
@@ -114,8 +123,7 @@ int cmd_diagnose(const Args& args) {
         sample, channel, design, acq, params, args.duration, key_rng,
         args.seed);
     const auto response = relay.relay_analysis(
-        result.acquisition.signals, 0, server, {},
-        controller.session_crypto());
+        result.acquisition.signals, server, *controller.session_crypto());
     report = core::PeakReport::deserialize(response.payload);
     const auto decoded = core::decrypt_report(report, result.schedule,
                                               design, args.duration);
@@ -131,7 +139,7 @@ int cmd_diagnose(const Args& args) {
         sample, controller.session_key_schedule_for_testing(),
         args.duration, args.seed);
     const auto response = relay.relay_analysis(
-        enc.signals, 0, server, {}, controller.session_crypto());
+        enc.signals, server, *controller.session_crypto());
     report = core::PeakReport::deserialize(response.payload);
     diagnosis = controller.conclude(report);
     std::printf("scheme: periodic keys (%llu bits)\n",
@@ -170,11 +178,8 @@ int cmd_auth(const Args& args) {
     return 2;
   }
 
-  cloud::ServiceConfig service;
-  service.allow_legacy_plane = false;
   auto server = cloud::CloudServer(cloud::AnalysisConfig{}, alphabet,
-                                   auth::ParticleClassifier::train({}),
-                                   auth::VerifierConfig{}, nullptr, service);
+                                   auth::ParticleClassifier::train({}));
   server.enrollments().enroll("patient", code);
 
   const auto design = sim::standard_design(9);
@@ -195,16 +200,14 @@ int cmd_auth(const Args& args) {
       args.seed + 1);
 
   phone::PhoneRelay relay;
-  const std::vector<std::uint8_t> mac_key = {0x22};
-  server.provision_device(relay.config().device_id, mac_key);
-  controller.enable_session_crypto(relay.config().device_id, mac_key);
+  personalize(server, controller, relay.config().device_id);
   if (!relay.establish_session(controller, args.seed, server)) {
     std::fprintf(stderr, "session handshake failed\n");
     return 1;
   }
-  const auto response = relay.relay_auth(
-      enc.signals, 0, controller.session_volume_ul(), server, {},
-      args.duration, controller.session_crypto());
+  const auto response =
+      relay.relay_auth(enc.signals, controller.session_volume_ul(), server,
+                       *controller.session_crypto(), args.duration);
   const auto decision =
       net::AuthDecisionPayload::deserialize(response.payload);
   std::printf("code %s -> %s (matched '%s', distance %.3f)\n",

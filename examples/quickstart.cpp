@@ -10,6 +10,7 @@
 #include "cloud/server.h"
 #include "core/controller.h"
 #include "core/encryptor.h"
+#include "crypto/cmac.h"
 #include "phone/relay.h"
 
 using namespace medsen;
@@ -32,25 +33,26 @@ int main() {
                               core::DiagnosticProfile::cd4_staging(),
                               /*entropy_seed=*/20260707);
 
-  // 3. Untrusted parties: the phone relay and the cloud server. The
-  //    service runs with the legacy static-key plane disabled: every
-  //    command must ride a negotiated session, so a stolen long-term MAC
-  //    key alone cannot replay or forge traffic.
-  cloud::ServiceConfig service;
-  service.allow_legacy_plane = false;
+  // 3. Untrusted parties: the phone relay and the cloud server. Every
+  //    command rides a negotiated session, so a stolen long-term key
+  //    alone cannot replay or forge traffic.
   auto server = cloud::CloudServer(cloud::AnalysisConfig{},
                                    auth::CytoAlphabet{},
-                                   auth::ParticleClassifier::train({}),
-                                   auth::VerifierConfig{}, nullptr, service);
+                                   auth::ParticleClassifier::train({}));
   phone::PhoneRelay relay;
   relay.set_progress_callback(
       [](const std::string& msg) { std::printf("  [app] %s\n", msg.c_str()); });
-  const std::vector<std::uint8_t> mac_key = {0x42, 0x42};
-  // Provision this dongle's MAC key with the service (out-of-band step),
-  // arm the controller's session crypto with the same long-term key, and
-  // negotiate derived session keys before any diagnostic traffic flows.
-  server.provision_device(relay.config().device_id, mac_key);
-  controller.enable_session_crypto(relay.config().device_id, mac_key);
+  // Personalization (out of band): the service holds only the epoch's
+  // master key and the enrolled id; the controller is armed with the key
+  // diversified from that master. Then negotiate derived session keys
+  // before any diagnostic traffic flows.
+  const std::vector<std::uint8_t> master(16, 0x42);
+  constexpr std::uint32_t kEpoch = 1;
+  const std::uint64_t device = relay.config().device_id;
+  server.rotate_master_key(kEpoch, master);
+  server.enroll_device(device);
+  controller.enable_session_crypto(
+      device, crypto::diversify_device_key(master, device, kEpoch), kEpoch);
   if (!relay.establish_session(controller, /*session=*/1, server)) {
     std::printf("session handshake failed\n");
     return 1;
@@ -77,11 +79,9 @@ int main() {
               acquisition.truth.total_particles());
 
   // 6. Phone relays to the cloud over the negotiated session (the
-  //    session id and MAC key come from the handshake; the legacy
-  //    arguments are ignored when session crypto is active).
-  const auto response =
-      relay.relay_analysis(acquisition.signals, /*session=*/0, server, {},
-                           controller.session_crypto());
+  //    session id and MAC key come from the handshake).
+  const auto response = relay.relay_analysis(acquisition.signals, server,
+                                             *controller.session_crypto());
   const auto report = core::PeakReport::deserialize(response.payload);
   std::printf("cloud saw %zu encrypted peaks (true count: %zu)\n",
               report.reference_peak_count(),

@@ -18,8 +18,8 @@ namespace medsen::cloud {
 
 namespace {
 
-// Durable-snapshot magics, distinct from the legacy whole-file formats
-// (the bodies here carry an applied_lsn and a sealing flag).
+// Durable-snapshot magics (the bodies carry an applied_lsn and a
+// sealing flag).
 constexpr std::uint32_t kSnapRecordMagic = 0x4D445243;    // "MDRC"
 constexpr std::uint32_t kSnapEnrollMagic = 0x4D44454E;    // "MDEN"
 constexpr std::uint32_t kSnapRegistryMagic = 0x4D445247;  // "MDRG"
@@ -315,15 +315,6 @@ RecoveryStats DurableState::recover_into(CloudServer& server) {
           ++stats.user_enrollments;
           break;
         }
-        case JournalRecordType::kDeviceProvisioned: {
-          const std::uint64_t id = in.u64();
-          auto key = in.blob();
-          in.expect_done("replay kDeviceProvisioned");
-          if (record.lsn <= registry_lsn) return;
-          server.devices().provision(id, std::move(key));
-          ++stats.registry_events;
-          break;
-        }
         case JournalRecordType::kDeviceEnrolled: {
           const std::uint64_t id = in.u64();
           in.expect_done("replay kDeviceEnrolled");
@@ -427,16 +418,6 @@ void DurableState::log_user_enrolled(const std::string& user_id,
   payload.str(user_id);
   payload.blob(auth::serialize_code(code));
   append_and_apply(JournalRecordType::kUserEnrolled, payload.take(), validate,
-                   apply);
-}
-
-void DurableState::log_provision(std::uint64_t device_id,
-                                 std::span<const std::uint8_t> mac_key,
-                                 const std::function<void()>& apply) {
-  util::ByteWriter payload;
-  payload.u64(device_id);
-  payload.blob(mac_key);
-  append_and_apply(JournalRecordType::kDeviceProvisioned, payload.take(),
                    apply);
 }
 

@@ -106,9 +106,6 @@ class DurableState {
                          const auth::CytoCode& code,
                          const std::function<void()>& validate,
                          const std::function<void()>& apply);
-  void log_provision(std::uint64_t device_id,
-                     std::span<const std::uint8_t> mac_key,
-                     const std::function<void()>& apply);
   void log_enroll_device(std::uint64_t device_id,
                          const std::function<void()>& apply);
   void log_revoke(std::uint64_t device_id,

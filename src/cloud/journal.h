@@ -40,9 +40,11 @@ namespace medsen::cloud {
 enum class JournalRecordType : std::uint8_t {
   kRecordStored = 1,      ///< record store append
   kUserEnrolled = 2,      ///< enrollment database append
-  kDeviceProvisioned = 3, ///< legacy key installed/rotated
+  // 3 was kDeviceProvisioned (a per-device static key, retired with the
+  // static-key plane). Reserved forever: recovery refuses a journal
+  // holding one as an unknown record type.
   kDeviceEnrolled = 4,    ///< diversified enrollment (id only)
-  kDeviceRevoked = 5,     ///< revocation on both planes
+  kDeviceRevoked = 5,     ///< device revocation
   kMasterRotated = 6,     ///< master-key epoch installed
   kEpochRetired = 7,      ///< master-key epoch dropped
   kHandshake = 8,         ///< handshake ordinal burned (nonce freshness)

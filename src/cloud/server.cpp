@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <stdexcept>
 
 #include "cloud/durability.h"
 #include "compress/codec.h"
@@ -29,8 +30,10 @@ CloudServer::CloudServer(AnalysisConfig analysis_config,
       cache_({service.shards, service.session_cache_capacity}),
       sessions_(service.shards),
       counters_(service.shards),
-      challenge_seed_(service.challenge_seed),
-      allow_legacy_plane_(service.allow_legacy_plane) {
+      challenge_seed_(service.challenge_seed) {
+  if (service.allow_legacy_plane)
+    throw std::invalid_argument(
+        "ServiceConfig::allow_legacy_plane: the static-key plane is retired");
   dispatch_.add(net::MessageType::kSignalUpload,
                 [this](const net::Envelope& request, RequestContext& context) {
                   return serve_upload(request, context);
@@ -49,25 +52,6 @@ RecoveryStats CloudServer::attach_durability(DurableState& durable) {
   const RecoveryStats stats = durable.recover_into(*this);
   durable_ = &durable;  // mutations journal from here on
   return stats;
-}
-
-DeviceRegistry::ProvisionResult CloudServer::provision_device(
-    std::uint64_t device_id, std::vector<std::uint8_t> mac_key) {
-  DeviceRegistry::ProvisionResult result{};
-  const auto apply = [&] {
-    result = devices_.provision(device_id, std::move(mac_key));
-    if (result == DeviceRegistry::ProvisionResult::kRotated)
-      sessions_.drop(device_id);
-  };
-  if (durable_) {
-    // log_provision copies the key bytes into the journal payload before
-    // apply() moves them into the registry.
-    durable_->log_provision(device_id, mac_key, apply);
-    durable_->maybe_compact(*this);
-  } else {
-    apply();
-  }
-  return result;
 }
 
 void CloudServer::enroll_device(std::uint64_t device_id) {
@@ -188,7 +172,7 @@ std::uint64_t CloudServer::replays_served() const {
 CloudServer::ResolvedKey CloudServer::resolve_mac_key(
     const net::Envelope& request) {
   ResolvedKey resolved;
-  // Revocation outranks every keying plane: a revoked device gets the
+  // Revocation outranks every other check: a revoked device gets the
   // explicit kRevoked (unsigned — the server no longer speaks for it).
   if (devices_.is_revoked(request.device_id)) {
     resolved.error = error_response(
@@ -211,18 +195,13 @@ CloudServer::ResolvedKey CloudServer::resolve_mac_key(
           error_response(request, {}, net::ErrorCode::kMalformed, 0, e.what());
       return resolved;
     }
-    std::optional<util::SecretBytes> key;
-    if (devices_.has_legacy_key(request.device_id)) {
-      key = devices_.lookup(request.device_id);  // legacy keys are epoch-less
-    } else {
-      key = devices_.lookup_epoch(request.device_id, epoch);
-      if (!key && devices_.lookup(request.device_id).has_value()) {
-        // Enrolled, but the named epoch's master is retired/unknown.
-        resolved.error = error_response(
-            request, {}, net::ErrorCode::kBadEpoch, 0,
-            "key epoch " + std::to_string(epoch) + " is not derivable");
-        return resolved;
-      }
+    auto key = devices_.lookup_epoch(request.device_id, epoch);
+    if (!key && devices_.lookup(request.device_id).has_value()) {
+      // Enrolled, but the named epoch's master is retired/unknown.
+      resolved.error = error_response(
+          request, {}, net::ErrorCode::kBadEpoch, 0,
+          "key epoch " + std::to_string(epoch) + " is not derivable");
+      return resolved;
     }
     if (!key) {
       resolved.error = error_response(
@@ -235,47 +214,27 @@ CloudServer::ResolvedKey CloudServer::resolve_mac_key(
     return resolved;
   }
 
+  // Every command rides a negotiated session: its MAC key is the
+  // derived session key — never a registry key.
   if (request.counter != 0) {
-    // Session plane: the envelope claims a negotiated session. Its MAC
-    // key is the derived session key — never a registry key.
-    resolved.session_plane = true;
-    auto key = sessions_.session_key(request.device_id, request.session_id);
-    if (!key) {
-      const auto longterm = devices_.lookup(request.device_id);
-      resolved.error = error_response(
-          request,
-          longterm ? std::span<const std::uint8_t>(*longterm)
-                   : std::span<const std::uint8_t>(),
-          net::ErrorCode::kAuthRequired, 0,
-          "no negotiated session for session_id " +
-              std::to_string(request.session_id));
-      return resolved;
-    }
-    resolved.key = std::move(key);
-    return resolved;
+    resolved.key =
+        sessions_.session_key(request.device_id, request.session_id);
+    if (resolved.key) return resolved;
   }
-
-  // Legacy static-key plane (counter 0): the original scheme, kept as
-  // the incremental-upgrade fallback and closable per deployment.
-  if (!allow_legacy_plane_) {
-    const auto longterm = devices_.lookup(request.device_id);
-    resolved.error = error_response(
-        request,
-        longterm ? std::span<const std::uint8_t>(*longterm)
-                 : std::span<const std::uint8_t>(),
-        net::ErrorCode::kAuthRequired, 0,
-        "legacy static-key plane is disabled; negotiate a session");
-    return resolved;
-  }
-  auto key = devices_.lookup(request.device_id);
-  if (!key) {
-    resolved.error = error_response(
-        request, {}, net::ErrorCode::kUnknownDevice, 0,
-        "device " + std::to_string(request.device_id) +
-            " is not provisioned");
-    return resolved;
-  }
-  resolved.key = std::move(key);
+  // No session to verify under: a counter-0 command (counter 0 is the
+  // handshake's alone) or an unknown session. Refuse, signed with the
+  // device's long-term key so the device can trust the demand to
+  // re-handshake.
+  const auto longterm = devices_.lookup(request.device_id);
+  resolved.error = error_response(
+      request,
+      longterm ? std::span<const std::uint8_t>(*longterm)
+               : std::span<const std::uint8_t>(),
+      net::ErrorCode::kAuthRequired, 0,
+      request.counter != 0
+          ? "no negotiated session for session_id " +
+                std::to_string(request.session_id)
+          : "legacy static-key plane is disabled; negotiate a session");
   return resolved;
 }
 
@@ -298,13 +257,14 @@ net::Envelope CloudServer::handle(const net::Envelope& request) {
         net::ErrorCode::kOverloaded, 0, "admission limit reached");
   }
 
-  // 2. Key resolution: the MAC key comes from the registry (legacy or
-  // epoch-derived) or the negotiated-session table — never from the
-  // caller. Errors to unknown devices are unsigned (empty key) — the
-  // server has no credential to speak for them.
+  // 2. Key resolution: the MAC key comes from the registry (epoch-
+  // derived, handshakes only) or the negotiated-session table — never
+  // from the caller. Errors to unknown devices are unsigned (empty
+  // key) — the server has no credential to speak for them.
   auto resolved = resolve_mac_key(request);
   if (resolved.error.has_value()) return *std::move(resolved.error);
   const auto& mac_key = resolved.key;
+  const bool command = request.type != net::MessageType::kAuthChallenge;
 
   // 3. Integrity: a tampering relay is detected here.
   if (!net::verify_envelope(request, *mac_key)) {
@@ -314,8 +274,8 @@ net::Envelope CloudServer::handle(const net::Envelope& request) {
 
   // 4. Idempotency: the reliable transport re-uploads when a response is
   // lost; byte-identical replays are served from the cache without a
-  // second analysis. The cache is LRU-bounded; what a miss means differs
-  // by plane — see the counter check below.
+  // second analysis. The cache is LRU-bounded; a miss on an already
+  // burned counter is caught by the counter check below.
   const auto cached = cache_.lookup(request);
   if (cached.state == SessionCache::Lookup::kConflict) {
     return error_response(request, *mac_key, net::ErrorCode::kSessionConflict,
@@ -328,13 +288,12 @@ net::Envelope CloudServer::handle(const net::Envelope& request) {
     return cached.response;
   }
 
-  // 4b. Anti-replay: on the session plane every command counter is
-  // checked against the device's sliding window. A counter the window
-  // has already seen whose cached response was LRU-evicted is *not*
-  // reprocessed — unlike the legacy plane, replaying an old command is
-  // indistinguishable from an attack, so it dies here with
-  // kStaleCounter rather than re-running the analysis.
-  if (resolved.session_plane) {
+  // 4b. Anti-replay: every command counter is checked against the
+  // device's sliding window. A counter the window has already seen
+  // whose cached response was LRU-evicted is *not* reprocessed —
+  // replaying an old command is indistinguishable from an attack, so it
+  // dies here with kStaleCounter rather than re-running the analysis.
+  if (command) {
     const auto status = sessions_.classify(
         request.device_id, request.session_id, request.counter);
     if (status != CounterStatus::kFresh) {
@@ -386,7 +345,7 @@ net::Envelope CloudServer::handle(const net::Envelope& request) {
   // Burn the counter only now that the exchange is cached: a shed or
   // rejected command keeps its counter retryable, and an ARQ
   // retransmission of this one finds the cached response above.
-  if (resolved.session_plane)
+  if (command)
     sessions_.commit(request.device_id, request.session_id, request.counter);
   counters_.count_processed(request.device_id, context.processing_time_s);
   return response;

@@ -1,8 +1,9 @@
 #pragma once
-// The cloud service endpoint. One CloudServer serves many provisioned
+// The cloud service endpoint. One CloudServer serves many enrolled
 // MedSen dongles: `handle()` is the single request/response entrypoint —
-// it admits (or sheds) the request, resolves the sender's MAC key from
-// the device registry, verifies the envelope, consults the idempotent
+// it admits (or sheds) the request, resolves the sender's MAC key (the
+// epoch-derived long-term key for a handshake, the negotiated session
+// key for every command), verifies the envelope, consults the idempotent
 // session cache, and routes through the handler registry. Every failure
 // travels back as a kError envelope with a structured ErrorPayload;
 // exceptions never cross the service boundary. Curious-but-honest: the
@@ -57,11 +58,11 @@ struct ServiceConfig {
   /// without the key yet fully reproducible in tests (no OS entropy —
   /// the determinism lint applies to the cloud too).
   std::uint64_t challenge_seed = 0x9e3779b97f4a7c15ull;
-  /// When false, counter-0 command traffic on the legacy static-key
-  /// plane is refused with kAuthRequired — only the handshake itself
-  /// rides counter 0, and every command needs a negotiated session.
-  /// Defaults to true so mixed fleets upgrade incrementally.
-  bool allow_legacy_plane = true;
+  /// Retired: the counter-0 static-key plane no longer exists, so
+  /// counter 0 carries only the handshake and every command needs a
+  /// negotiated session. Kept only so existing `= false` assignments
+  /// compile; CloudServer rejects `true` with std::invalid_argument.
+  bool allow_legacy_plane = false;
 };
 
 class CloudServer {
@@ -82,29 +83,26 @@ class CloudServer {
   /// client threads as you like. Failures (unknown device, bad MAC,
   /// quality rejection, malformed payload, overload, session conflict)
   /// come back as kError envelopes carrying a net::ErrorPayload — this
-  /// method only throws on programmer errors.
+  /// method only throws on programmer errors. Counter 0 is reserved for
+  /// the AuthChallenge handshake; any other counter-0 envelope is
+  /// refused with kAuthRequired.
   net::Envelope handle(const net::Envelope& request);
 
   /// Attach a durability layer: first recovers the journal + snapshots
   /// under `durable` into this server's stores, then journals every
-  /// subsequent mutation (provision/enroll/revoke/rotate/retire, user
+  /// subsequent mutation (enroll/revoke/rotate/retire, user
   /// enrollment, stored record, handshake ordinal) before it is applied
   /// — the ack ⇒ durable contract. Call once, on a freshly constructed
   /// server, before serving traffic. Returns what recovery found.
   RecoveryStats attach_durability(DurableState& durable);
 
-  /// The device registry: provision each dongle's MAC key before it may
-  /// talk to this server.
+  /// The device registry: enroll each dongle before it may talk to this
+  /// server.
   [[nodiscard]] DeviceRegistry& devices() { return devices_; }
-  /// Provision (or rotate) a device's legacy key. A rotation tears down
-  /// the device's negotiated session: envelopes MAC'd under keys derived
-  /// from the old long-term key are rejected from this call on.
-  DeviceRegistry::ProvisionResult provision_device(
-      std::uint64_t device_id, std::vector<std::uint8_t> mac_key);
   /// Diversified enrollment: the registry records only the id; the
   /// device's key is derived on demand from the epoch master.
   void enroll_device(std::uint64_t device_id);
-  /// Revoke a device on both keying planes and kill its live session.
+  /// Revoke a device and kill its live session.
   bool revoke_device(std::uint64_t device_id);
   /// Install a new master-key epoch and re-key the fleet: every live
   /// session is dropped, forcing fresh handshakes under the new epoch
@@ -172,7 +170,6 @@ class CloudServer {
   struct ResolvedKey {
     std::optional<util::SecretBytes> key;
     std::optional<net::Envelope> error;
-    bool session_plane = false;
   };
   ResolvedKey resolve_mac_key(const net::Envelope& request);
 
@@ -196,7 +193,6 @@ class CloudServer {
   SessionAuthTable sessions_;
   ServiceCounters counters_;
   std::uint64_t challenge_seed_;
-  bool allow_legacy_plane_;
   /// Optional WAL (attach_durability). Not owned; must outlive serving.
   DurableState* durable_ = nullptr;
 };

@@ -40,7 +40,7 @@ CounterStatus SessionAuthTable::classify(std::uint64_t device_id,
         it->second.mac_key.empty())
       return CounterStatus::kNoSession;
     const DeviceSessionState& s = it->second;
-    if (counter == 0) return CounterStatus::kStale;  // 0 is the legacy plane
+    if (counter == 0) return CounterStatus::kStale;  // 0 is the handshake's
     if (counter > s.highest) return CounterStatus::kFresh;
     const std::uint32_t age = s.highest - counter;
     if (age >= kWindowSize) return CounterStatus::kStale;

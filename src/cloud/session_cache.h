@@ -2,13 +2,11 @@
 // The idempotent session cache, sharded by device and bounded by an LRU
 // eviction policy. The reliable transport re-uploads whenever a response
 // is lost, so the server must answer a byte-identical replay of
-// (device_id, session_id) with the original response without re-running
-// the analysis — but a million-device soak must not let the cache grow
-// without limit. Eviction drops the *least recently touched* exchange;
-// a replay of an evicted session is simply processed again (idempotent
-// handlers make that safe), and a conflicting payload under an evicted
-// session is re-detected by the handler path, never served from stale
-// cache state.
+// (device_id, session_id, counter) with the original response without
+// re-running the analysis — but a million-device soak must not let the
+// cache grow without limit. Eviction drops the *least recently touched*
+// exchange; a replay of an evicted command is refused by the server's
+// anti-replay window, never served from stale cache state.
 //
 // Sharding routes on device_id, so a request's cache traffic stays on
 // the same shard as its registry lookup and no cross-shard lock is ever
@@ -71,8 +69,7 @@ class SessionCache {
   // Keyed (device, session, counter): the session-crypto plane keeps one
   // session_id across the whole retry ladder and disambiguates attempts
   // by command counter, so each counter value is its own idempotency
-  // slot. Legacy traffic carries counter 0 and degrades to the old
-  // (device, session) behavior unchanged.
+  // slot; the handshake is the session's counter-0 slot.
   using SessionKey = std::tuple<std::uint64_t, std::uint64_t, std::uint32_t>;
 
   struct KeyHash {

@@ -101,7 +101,7 @@ class Controller {
   /// arming it never perturbs the acquisition key schedule.
   void enable_session_crypto(std::uint64_t device_id,
                              std::vector<std::uint8_t> device_key,
-                             std::uint32_t key_epoch = 0);
+                             std::uint32_t key_epoch);
   /// The session-crypto engine, or nullptr when not armed.
   [[nodiscard]] SessionCrypto* session_crypto() {
     return session_crypto_.get();

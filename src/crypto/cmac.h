@@ -52,9 +52,8 @@ std::vector<std::uint8_t> kdf_cmac(
     std::size_t length);
 
 /// A CMAC-ready 16-byte key from an arbitrary-length transport key:
-/// identity for 16-byte keys, SHA-256-truncate otherwise. Diversified
-/// keys are born 16 bytes; legacy provisioned keys are free-form, and
-/// the handshake must still be able to run over them.
+/// identity for 16-byte keys (every diversified device key),
+/// SHA-256-truncate otherwise (e.g. a 32-byte storage key).
 std::vector<std::uint8_t> normalize_cmac_key(
     std::span<const std::uint8_t> key);
 

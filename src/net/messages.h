@@ -37,10 +37,9 @@ struct Envelope {
   MessageType type = MessageType::kError;
   std::uint64_t session_id = 0;
   std::uint64_t device_id = 0;  ///< sending/addressed device, MAC-covered
-  /// Monotonic command counter, MAC-covered. 0 marks the legacy
-  /// static-key plane (and the handshake itself); session-keyed
-  /// commands count from 1 and the server validates them against a
-  /// sliding anti-replay window (see cloud::SessionAuthTable).
+  /// Monotonic command counter, MAC-covered. 0 marks the handshake;
+  /// session-keyed commands count from 1 and the server validates them
+  /// against a sliding anti-replay window (see cloud::SessionAuthTable).
   std::uint32_t counter = 0;
   std::vector<std::uint8_t> payload;
   crypto::Sha256Digest mac{};  ///< HMAC over type|session|device|ctr|payload
@@ -50,9 +49,8 @@ struct Envelope {
   static Envelope deserialize(std::span<const std::uint8_t> bytes);
 };
 
-/// Build an authenticated envelope. `counter` stays 0 on the legacy
-/// static-key plane; session-keyed traffic stamps the device's next
-/// command counter.
+/// Build an authenticated envelope. `counter` stays 0 for the handshake;
+/// session-keyed commands stamp the device's next command counter.
 Envelope make_envelope(MessageType type, std::uint64_t session_id,
                        std::uint64_t device_id,
                        std::vector<std::uint8_t> payload,

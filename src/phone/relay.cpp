@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 
 #include "compress/codec.h"
 #include "util/csv.h"
@@ -9,6 +10,18 @@
 namespace medsen::phone {
 
 namespace {
+
+/// The envelope of the next command on `crypto`'s negotiated session.
+net::Envelope session_command(net::MessageType type, std::uint64_t device_id,
+                              std::vector<std::uint8_t> payload,
+                              core::SessionCrypto& crypto) {
+  if (!crypto.active())
+    throw std::logic_error(
+        "PhoneRelay: no negotiated session; call establish_session first");
+  return net::make_envelope(type, crypto.session_id(), device_id,
+                            std::move(payload), crypto.session_mac_key(),
+                            crypto.next_counter());
+}
 
 double measure(const std::function<void()>& work) {
   const auto start = std::chrono::steady_clock::now();
@@ -61,22 +74,29 @@ net::SignalUploadPayload PhoneRelay::build_payload(
   return payload;
 }
 
-std::optional<net::Envelope> PhoneRelay::reliable_exchange(
-    const net::Envelope& upload,
-    const std::function<net::Envelope(const net::Envelope&)>& handler) {
+std::optional<net::Envelope> PhoneRelay::exchange(
+    const net::Envelope& request, cloud::CloudServer& server) {
+  if (!config_.reliable_transport) {
+    net::Envelope response;
+    timing_.uplink_s = config_.uplink.transfer_time_s(request.payload.size());
+    timing_.analysis_s = measure([&] { response = server.handle(request); });
+    timing_.downlink_s =
+        config_.downlink.transfer_time_s(response.payload.size());
+    return response;
+  }
   net::SimulatedClock clock;
   net::FaultyLink up(config_.uplink, config_.uplink_faults, &clock);
   net::FaultyLink down(config_.downlink, config_.downlink_faults, &clock);
   net::ReliableChannel channel(up, down, clock, config_.reliable);
 
-  const auto wire = upload.serialize();
+  const auto wire = request.serialize();
   const auto result = channel.request(
       wire, [&](std::span<const std::uint8_t> delivered) {
         // The reliable channel reassembles the exact bytes the phone
         // sent; the strict decoder would throw on anything else.
-        const auto request = net::Envelope::deserialize(delivered);
+        const auto arrived = net::Envelope::deserialize(delivered);
         net::Envelope response;
-        const double t = measure([&] { response = handler(request); });
+        const double t = measure([&] { response = server.handle(arrived); });
         timing_.analysis_s = t;
         return response.serialize();
       });
@@ -97,23 +117,12 @@ bool PhoneRelay::establish_session(core::Controller& controller,
   auto* crypto = controller.session_crypto();
   if (crypto == nullptr) return false;
   report("negotiating session keys");
-  const auto challenge = crypto->make_challenge(session_id);
-
-  net::Envelope response;
-  if (config_.reliable_transport) {
-    auto exchanged = reliable_exchange(
-        challenge,
-        [&](const net::Envelope& req) { return server.handle(req); });
-    if (!exchanged.has_value()) {
-      report("session negotiation failed: cloud unreachable");
-      return false;
-    }
-    response = std::move(*exchanged);
-  } else {
-    response = server.handle(challenge);
+  const auto response = exchange(crypto->make_challenge(session_id), server);
+  if (!response.has_value()) {
+    report("session negotiation failed: cloud unreachable");
+    return false;
   }
-
-  const bool ok = crypto->complete(response);
+  const bool ok = crypto->complete(*response);
   report(ok ? "session keys established"
             : "session negotiation failed: proof rejected");
   return ok;
@@ -130,124 +139,77 @@ core::PeakReport PhoneRelay::run_local_analysis(
 }
 
 net::Envelope PhoneRelay::relay_analysis(
-    const util::MultiChannelSeries& series, std::uint64_t session_id,
-    cloud::CloudServer& server, std::span<const std::uint8_t> mac_key,
-    core::SessionCrypto* crypto) {
-  const auto payload = build_payload(series);
-  std::uint32_t counter = 0;
-  if (crypto != nullptr && crypto->active()) {
-    session_id = crypto->session_id();
-    counter = crypto->next_counter();
-    // Borrow the session key in place — a local copy would outlive its
-    // wipe; the SessionCrypto outlives this call.
-    mac_key = crypto->session_mac_key();
-  }
-  const auto upload = net::make_envelope(
-      net::MessageType::kSignalUpload, session_id, config_.device_id,
-      payload.serialize(), mac_key, counter);
+    const util::MultiChannelSeries& series, cloud::CloudServer& server,
+    core::SessionCrypto& crypto) {
+  const auto upload =
+      session_command(net::MessageType::kSignalUpload, config_.device_id,
+                      build_payload(series).serialize(), crypto);
   report("uploading to cloud");
-
-  net::Envelope response;
-  if (config_.reliable_transport) {
-    auto exchanged = reliable_exchange(
-        upload, [&](const net::Envelope& req) { return server.handle(req); });
-    if (!exchanged.has_value()) {
-      // Retry budget exhausted: the cloud is unreachable. Degrade
-      // gracefully to the on-phone analysis path (paper Fig. 14
-      // discussion) instead of failing the test session.
-      report("cloud unreachable; analyzing locally on phone");
-      timing_.local_fallback = true;
-      const auto local = run_local_analysis(series, config_.local_analysis);
-      report("local analysis complete");
-      return net::make_envelope(net::MessageType::kAnalysisResult, session_id,
-                                config_.device_id, local.serialize(), mac_key);
-    }
-    response = std::move(*exchanged);
-  } else {
-    timing_.uplink_s =
-        config_.uplink.transfer_time_s(upload.payload.size());
-    const double t = measure([&] { response = server.handle(upload); });
-    timing_.analysis_s = t;
-    timing_.downlink_s =
-        config_.downlink.transfer_time_s(response.payload.size());
+  const auto response = exchange(upload, server);
+  if (!response.has_value()) {
+    // Retry budget exhausted: the cloud is unreachable. Degrade
+    // gracefully to the on-phone analysis path (paper Fig. 14
+    // discussion) instead of failing the test session.
+    report("cloud unreachable; analyzing locally on phone");
+    timing_.local_fallback = true;
+    const auto local = run_local_analysis(series, config_.local_analysis);
+    report("local analysis complete");
+    return net::make_envelope(net::MessageType::kAnalysisResult,
+                              upload.session_id, config_.device_id,
+                              local.serialize(), crypto.session_mac_key());
   }
 
   report("downloading analysis result");
-  timing_.usb_out_s = config_.usb.transfer_time_s(response.payload.size());
+  timing_.usb_out_s = config_.usb.transfer_time_s(response->payload.size());
   report("analysis complete");
-  return response;
+  return *response;
 }
 
 net::Envelope PhoneRelay::relay_auth(const util::MultiChannelSeries& series,
-                                     std::uint64_t session_id,
                                      double volume_ul,
                                      cloud::CloudServer& server,
-                                     std::span<const std::uint8_t> mac_key,
-                                     double duration_s,
-                                     core::SessionCrypto* crypto) {
+                                     core::SessionCrypto& crypto,
+                                     double duration_s) {
   net::AuthPassPayload pass;
   pass.upload = build_payload(series);
   pass.volume_ul = volume_ul;
   pass.duration_s = duration_s;
-  std::uint32_t counter = 0;
-  if (crypto != nullptr && crypto->active()) {
-    session_id = crypto->session_id();
-    counter = crypto->next_counter();
-    // Borrow the session key in place — a local copy would outlive its
-    // wipe; the SessionCrypto outlives this call.
-    mac_key = crypto->session_mac_key();
-  }
-  const auto upload =
-      net::make_envelope(net::MessageType::kAuthPass, session_id,
-                         config_.device_id, pass.serialize(), mac_key, counter);
+  const auto upload = session_command(
+      net::MessageType::kAuthPass, config_.device_id, pass.serialize(), crypto);
   report("uploading authentication pass");
-
-  net::Envelope response;
-  if (config_.reliable_transport) {
-    auto exchanged = reliable_exchange(
-        upload, [&](const net::Envelope& req) { return server.handle(req); });
-    if (!exchanged.has_value())
-      // Unlike diagnostics, authentication cannot fall back to the
-      // phone: the enrollment database lives in the cloud.
-      throw net::TransportError(
-          "PhoneRelay: auth upload failed, retry budget exhausted");
-    response = std::move(*exchanged);
-  } else {
-    timing_.uplink_s =
-        config_.uplink.transfer_time_s(upload.payload.size());
-    const double t = measure([&] { response = server.handle(upload); });
-    timing_.analysis_s = t;
-    timing_.downlink_s =
-        config_.downlink.transfer_time_s(response.payload.size());
-  }
+  const auto response = exchange(upload, server);
+  if (!response.has_value())
+    // Unlike diagnostics, authentication cannot fall back to the
+    // phone: the enrollment database lives in the cloud.
+    throw net::TransportError(
+        "PhoneRelay: auth upload failed, retry budget exhausted");
 
   report("downloading auth decision");
-  timing_.usb_out_s = config_.usb.transfer_time_s(response.payload.size());
+  timing_.usb_out_s = config_.usb.transfer_time_s(response->payload.size());
   report("authentication complete");
-  return response;
+  return *response;
 }
 
 SessionOutcome PhoneRelay::run_diagnostic_session(
     core::Controller& controller, double duration_s, const AcquireFn& acquire,
-    std::uint64_t session_base_id, cloud::CloudServer& server,
-    std::span<const std::uint8_t> mac_key) {
+    std::uint64_t session_base_id, cloud::CloudServer& server) {
   SessionOutcome outcome;
   const std::size_t max_attempts =
       std::max<std::size_t>(1, controller.retry_policy().max_attempts);
   util::MultiChannelSeries last_series;
 
-  // Session-crypto plane: handshake once up front; all attempts then
-  // share the negotiated session, distinguished by command counter. The
-  // handshake (and each re-handshake) consumes its own id above
-  // session_base_id so the server's idempotency cache never sees two
-  // different challenges under one key.
+  // Handshake once up front; all attempts then share the negotiated
+  // session, distinguished by command counter. The handshake (and each
+  // re-handshake) consumes its own id above session_base_id so the
+  // server's idempotency cache never sees two different challenges
+  // under one key.
   core::SessionCrypto* crypto = controller.session_crypto();
   std::uint64_t handshakes = 0;
-  if (crypto != nullptr && !crypto->active()) {
-    if (!establish_session(controller, session_base_id + handshakes, server))
-      report("continuing on the legacy static-key plane");
-    ++handshakes;
-  }
+  const auto handshake = [&] {
+    return establish_session(controller, session_base_id + handshakes++,
+                             server);
+  };
+  bool connected = crypto != nullptr && (crypto->active() || handshake());
 
   for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
     const auto control = attempt == 0
@@ -256,36 +218,24 @@ SessionOutcome PhoneRelay::run_diagnostic_session(
     report("acquiring (attempt " + std::to_string(attempt + 1) + ")");
     last_series = acquire(control, duration_s, attempt);
     ++outcome.attempts;
+    if (!connected) break;  // no session: straight to the on-phone path
 
-    // Each attempt gets its own session id (legacy plane) or its own
-    // command counter (session plane): the server's idempotency cache
-    // would flag a re-acquisition under the old key as a replay with a
-    // different payload (kSessionConflict).
-    outcome.last_response = relay_analysis(
-        last_series, session_base_id + attempt, server, mac_key, crypto);
+    outcome.last_response = relay_analysis(last_series, server, *crypto);
     outcome.retransmissions += timing_.retransmissions;
     outcome.timeouts += timing_.timeouts;
 
     // kAuthRequired means the server no longer holds our session — it
     // restarted or the fleet was re-keyed. Re-handshake under a fresh
     // id (counters restart under the new key) and resend this attempt.
-    if (crypto != nullptr && crypto->active() &&
-        outcome.last_response.type == net::MessageType::kError) {
-      const auto probe =
-          net::ErrorPayload::deserialize(outcome.last_response.payload);
-      if (probe.code == net::ErrorCode::kAuthRequired) {
-        report("server dropped the session; re-keying");
-        crypto->invalidate();
-        if (establish_session(controller, session_base_id + handshakes,
-                              server)) {
-          outcome.last_response = relay_analysis(
-              last_series, session_base_id + attempt, server, mac_key,
-              crypto);
-          outcome.retransmissions += timing_.retransmissions;
-          outcome.timeouts += timing_.timeouts;
-        }
-        ++handshakes;
-      }
+    if (outcome.last_response.type == net::MessageType::kError &&
+        net::ErrorPayload::deserialize(outcome.last_response.payload).code ==
+            net::ErrorCode::kAuthRequired) {
+      report("server dropped the session; re-keying");
+      connected = handshake();
+      if (!connected) break;
+      outcome.last_response = relay_analysis(last_series, server, *crypto);
+      outcome.retransmissions += timing_.retransmissions;
+      outcome.timeouts += timing_.timeouts;
     }
 
     if (outcome.last_response.type == net::MessageType::kAnalysisResult) {
@@ -310,17 +260,22 @@ SessionOutcome PhoneRelay::run_diagnostic_session(
            error.detail + "); recovery: " + core::to_string(plan.action));
   }
 
-  // Retry budget exhausted: degrade to a best-effort on-phone analysis
-  // of the last acquisition rather than throwing the session away. The
-  // local service has no quality gate, so it always yields a report.
+  // Retry budget exhausted, or no session to upload on: degrade to a
+  // best-effort on-phone analysis of the last acquisition rather than
+  // throwing the session away. The local service has no quality gate,
+  // so it always yields a report. The phone-made envelope carries no
+  // cloud MAC when there is no session key to stamp it with.
   outcome.actions.push_back(core::RecoveryAction::kGiveUp);
   outcome.degraded = true;
-  report("retries exhausted; degrading to on-phone analysis");
+  report(connected ? "retries exhausted; degrading to on-phone analysis"
+                   : "no cloud session; degrading to on-phone analysis");
   timing_.local_fallback = true;
   const auto local = run_local_analysis(last_series, config_.local_analysis);
   outcome.last_response = net::make_envelope(
       net::MessageType::kAnalysisResult, session_base_id + outcome.attempts,
-      config_.device_id, local.serialize(), mac_key);
+      config_.device_id, local.serialize(),
+      connected ? std::span<const std::uint8_t>(crypto->session_mac_key())
+                : std::span<const std::uint8_t>());
   outcome.diagnosis = controller.conclude_degraded(local);
   return outcome;
 }

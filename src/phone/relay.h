@@ -44,7 +44,7 @@ struct RelayTiming {
 
 struct RelayConfig {
   /// Tenant identity stamped on every envelope; the server only accepts
-  /// devices provisioned in its DeviceRegistry under this id.
+  /// devices enrolled in its DeviceRegistry under this id.
   std::uint64_t device_id = 1;
   bool compress_uploads = true;
   /// Upload in the prototype's CSV format instead of compact binary
@@ -110,26 +110,22 @@ class PhoneRelay {
                          cloud::CloudServer& server);
 
   /// Relay an encrypted acquisition to the cloud for analysis and return
-  /// the cloud's analysis-result envelope. Populates timing().
-  /// With an *active* `crypto`, the envelope rides the session plane:
-  /// MAC'd with the derived session key, stamped with the next command
-  /// counter, and addressed to the negotiated session id (the
-  /// `session_id` argument is ignored then).
+  /// the cloud's analysis-result envelope. Populates timing(). The
+  /// envelope rides `crypto`'s negotiated session: MAC'd with the derived
+  /// session key, stamped with the next command counter, and addressed
+  /// to the negotiated session id. Throws std::logic_error when `crypto`
+  /// holds no active session (establish_session() first).
   net::Envelope relay_analysis(const util::MultiChannelSeries& series,
-                               std::uint64_t session_id,
                                cloud::CloudServer& server,
-                               std::span<const std::uint8_t> mac_key,
-                               core::SessionCrypto* crypto = nullptr);
+                               core::SessionCrypto& crypto);
 
   /// Relay a plaintext auth pass; returns the auth-decision envelope.
   /// `duration_s` (when nonzero) lets the server correct coincidence
   /// losses in the bead census. `crypto` works as in relay_analysis().
   net::Envelope relay_auth(const util::MultiChannelSeries& series,
-                           std::uint64_t session_id, double volume_ul,
-                           cloud::CloudServer& server,
-                           std::span<const std::uint8_t> mac_key,
-                           double duration_s = 0.0,
-                           core::SessionCrypto* crypto = nullptr);
+                           double volume_ul, cloud::CloudServer& server,
+                           core::SessionCrypto& crypto,
+                           double duration_s = 0.0);
 
   /// Run the peak analysis locally on the phone (small-sample mode).
   /// Returns the report and records the profile-scaled analysis time.
@@ -140,24 +136,27 @@ class PhoneRelay {
   /// acquire under the controller's control trace, upload, and on a
   /// structured quality rejection let the controller plan recovery
   /// (re-key with suspects masked, derate flow, flush) and re-acquire,
-  /// up to RetryPolicy::max_attempts. Distinct attempts use session ids
-  /// `session_base_id + attempt` so the server's idempotency cache never
-  /// conflates them. When the budget is exhausted the session degrades
-  /// to an on-phone best-effort analysis with the policy's confidence
-  /// downgrade — it does not throw.
+  /// up to RetryPolicy::max_attempts. Handshakes use session ids
+  /// `session_base_id`, `session_base_id + 1`, ... so the server's
+  /// idempotency cache never sees two different challenges under one id.
+  /// When the budget is exhausted the session degrades to an on-phone
+  /// best-effort analysis with the policy's confidence downgrade — it
+  /// does not throw.
   ///
-  /// When the controller has session crypto armed, the loop handshakes
-  /// once up front and every attempt rides the *same* negotiated
-  /// session with incrementing command counters (the cache keys on the
-  /// counter, so attempts never conflate). A kAuthRequired error —
-  /// the server lost the session to a restart or key rotation —
+  /// The loop handshakes once up front (unless the controller's session
+  /// crypto is already active) and every attempt rides the *same*
+  /// negotiated session with incrementing command counters (the cache
+  /// keys on the counter, so attempts never conflate). A kAuthRequired
+  /// error — the server lost the session to a restart or key rotation —
   /// triggers one re-handshake under a fresh session id and a resend,
-  /// with counters restarting under the new key. A handshake that
-  /// cannot complete at all degrades to the legacy static-key plane.
-  SessionOutcome run_diagnostic_session(
-      core::Controller& controller, double duration_s,
-      const AcquireFn& acquire, std::uint64_t session_base_id,
-      cloud::CloudServer& server, std::span<const std::uint8_t> mac_key);
+  /// with counters restarting under the new key. When no session can be
+  /// negotiated (no session crypto armed, cloud unreachable, proof
+  /// rejected) the session degrades to the on-phone path (kGiveUp).
+  SessionOutcome run_diagnostic_session(core::Controller& controller,
+                                        double duration_s,
+                                        const AcquireFn& acquire,
+                                        std::uint64_t session_base_id,
+                                        cloud::CloudServer& server);
 
   void set_progress_callback(ProgressCallback cb) { progress_ = std::move(cb); }
 
@@ -173,12 +172,12 @@ class PhoneRelay {
   /// the USB/compression timing fields.
   net::SignalUploadPayload build_payload(
       const util::MultiChannelSeries& series);
-  /// Run one request/response exchange over the lossy reliable links.
+  /// Run one request/response exchange with the cloud — over the lossy
+  /// reliable links when configured, else the idealized direct call.
   /// Returns the response envelope, or nullopt when the retry budget was
   /// exhausted in either direction; fills the transport timing fields.
-  std::optional<net::Envelope> reliable_exchange(
-      const net::Envelope& upload,
-      const std::function<net::Envelope(const net::Envelope&)>& handler);
+  std::optional<net::Envelope> exchange(const net::Envelope& request,
+                                        cloud::CloudServer& server);
   /// Measure a profile-scaled local analysis without resetting timing_.
   core::PeakReport run_local_analysis(const util::MultiChannelSeries& series,
                                       const cloud::AnalysisConfig& config);

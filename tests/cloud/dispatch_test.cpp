@@ -5,22 +5,34 @@
 #include <thread>
 #include <vector>
 
+#include "crypto/cmac.h"
+
 namespace medsen::cloud {
 namespace {
 
+std::vector<std::uint8_t> master_key(std::uint8_t fill) {
+  return std::vector<std::uint8_t>(16, fill);
+}
+
+// Provisioning is enrollment: the registry records the id and derives
+// the device's key from the current epoch's master on every lookup.
 TEST(DeviceRegistry, ProvisionLookupRevoke) {
   DeviceRegistry registry;
   EXPECT_EQ(registry.size(), 0u);
   EXPECT_FALSE(registry.lookup(7).has_value());
 
-  registry.provision(7, {1, 2, 3});
-  ASSERT_TRUE(registry.lookup(7).has_value());
-  EXPECT_EQ(*registry.lookup(7), (std::vector<std::uint8_t>{1, 2, 3}));
+  registry.enroll(7);
   EXPECT_EQ(registry.size(), 1u);
+  EXPECT_FALSE(registry.lookup(7).has_value());  // no master yet
+  registry.set_master_key(1, master_key(0x5a));
+  ASSERT_TRUE(registry.lookup(7).has_value());
+  EXPECT_EQ(*registry.lookup(7),
+            crypto::diversify_device_key(master_key(0x5a), 7, 1));
 
-  // Re-provisioning rotates the key in place.
-  registry.provision(7, {9});
-  EXPECT_EQ(*registry.lookup(7), (std::vector<std::uint8_t>{9}));
+  // A new master epoch re-keys the device in place.
+  registry.set_master_key(2, master_key(0xc3));
+  EXPECT_EQ(*registry.lookup(7),
+            crypto::diversify_device_key(master_key(0xc3), 7, 2));
   EXPECT_EQ(registry.size(), 1u);
 
   EXPECT_TRUE(registry.revoke(7));
@@ -30,13 +42,14 @@ TEST(DeviceRegistry, ProvisionLookupRevoke) {
 
 TEST(DeviceRegistry, ConcurrentProvisionAndLookup) {
   DeviceRegistry registry;
+  registry.set_master_key(1, master_key(0x5a));
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t) {
     workers.emplace_back([&registry, t] {
       for (int i = 0; i < 50; ++i) {
         const auto id = static_cast<std::uint64_t>(t * 50 + i);
-        registry.provision(id, {static_cast<std::uint8_t>(t)});
-        (void)registry.lookup(id);
+        registry.enroll(id);
+        EXPECT_TRUE(registry.lookup(id).has_value());
       }
     });
   }

@@ -150,7 +150,7 @@ TEST(Durability, StateSurvivesRestartViaJournalReplay) {
   {
     Rig rig(config_for(dir));
     EXPECT_EQ(rig.recovery.records_replayed, 0u);
-    rig.server->provision_device(3, master_key(0x31));
+    rig.server->enroll_device(3);
     rig.server->rotate_master_key(1, master_key(0x5A));
     rig.server->enroll_device(kDevice);
     rig.server->enroll_user("alice", code);
@@ -279,40 +279,38 @@ TEST(Durability, StorageKeySealsSecretsOnDisk) {
   remove_state(plain_dir);
   remove_state(sealed_dir);
 
-  // Distinctive byte patterns to scan for.
-  std::vector<std::uint8_t> legacy_key(16);
-  for (std::size_t i = 0; i < legacy_key.size(); ++i)
-    legacy_key[i] = static_cast<std::uint8_t>(0xA0 + i);
-  std::vector<std::uint8_t> master(16);
-  for (std::size_t i = 0; i < master.size(); ++i)
-    master[i] = static_cast<std::uint8_t>(0xC0 + i);
+  // Masters to scan for: one snapshotted by compaction, one journaled
+  // after it.
+  const auto master = master_key(0xC1);
+  const auto next_master = master_key(0xA7);
 
   const auto run = [&](const std::string& dir,
                        std::vector<std::uint8_t> storage_key) {
     DurabilityConfig config = config_for(dir);
     config.storage_key = std::move(storage_key);
     Rig rig(config);
-    rig.server->provision_device(3, legacy_key);
     rig.server->rotate_master_key(1, master);
     rig.server->enroll_device(kDevice);
     rig.durable->compact(*rig.server);
-    rig.server->provision_device(4, legacy_key);  // journal after compact
+    rig.server->rotate_master_key(2, next_master);  // journal after compact
+    rig.server->enroll_device(4);
   };
 
   // Control: without a storage key the scan DOES find the key bytes —
   // proving the scan itself works.
   run(plain_dir, {});
-  EXPECT_TRUE(on_disk(plain_dir, legacy_key));
   EXPECT_TRUE(on_disk(plain_dir, master));
+  EXPECT_TRUE(on_disk(plain_dir, next_master));
 
   run(sealed_dir, std::vector<std::uint8_t>(32, 0x7E));
-  EXPECT_FALSE(on_disk(sealed_dir, legacy_key));
   EXPECT_FALSE(on_disk(sealed_dir, master));
+  EXPECT_FALSE(on_disk(sealed_dir, next_master));
 
   // And the sealed state still recovers.
   DurabilityConfig config = config_for(sealed_dir);
   config.storage_key = std::vector<std::uint8_t>(32, 0x7E);
   Rig rig(config);
+  EXPECT_EQ(rig.server->devices().current_epoch(), 2u);
   EXPECT_TRUE(rig.server->devices().lookup(4).has_value());
   EXPECT_TRUE(rig.server->devices().lookup_epoch(kDevice, 1).has_value());
 
@@ -320,6 +318,27 @@ TEST(Durability, StorageKeySealsSecretsOnDisk) {
   EXPECT_THROW(Rig{config_for(sealed_dir)}, PersistenceError);
   remove_state(plain_dir);
   remove_state(sealed_dir);
+}
+
+// Journal record type 3 carried a static per-device key. The type is
+// retired and never reused: a journal still holding one must fail
+// recovery with the typed error instead of being skipped.
+TEST(Durability, RetiredProvisionRecordFailsRecovery) {
+  const auto dir = temp_dir("retired");
+  remove_state(dir);
+  {
+    Rig rig(config_for(dir));
+    rig.server->enroll_device(kDevice);
+  }
+  {
+    Journal journal(dir + "/journal.wal");
+    // Unsealed payload (flag 0): u64 device id | blob(key).
+    const std::vector<std::uint8_t> payload = {
+        0, 3, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0xAB, 0xCD};
+    journal.append(static_cast<JournalRecordType>(3), payload);
+  }
+  EXPECT_THROW(Rig{config_for(dir)}, PersistenceError);
+  remove_state(dir);
 }
 
 TEST(Durability, LsnSequenceSurvivesCrashRightAfterCompaction) {

@@ -3,26 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <span>
 
 #include "util/fileio.h"
 
 namespace medsen::cloud {
 namespace {
 
-class PersistenceTest : public ::testing::Test {
- protected:
-  std::string temp_path(const char* name) {
-    return std::string(::testing::TempDir()) + "/medsen_" + name;
-  }
-  void TearDown() override {
-    for (const auto& path : created_) std::remove(path.c_str());
-  }
-  std::string track(std::string path) {
-    created_.push_back(path);
-    return path;
-  }
-  std::vector<std::string> created_;
-};
+// The snapshot codecs DurableState stores: body encoders/decoders inside
+// the seal_blob container (magic | version | CRC-32 | body).
+constexpr std::uint32_t kMagic = 0x4D445445;  // "MDTE", test-only
+constexpr std::uint32_t kOtherMagic = 0x4D44544F;
 
 auth::CytoCode code_of(std::initializer_list<std::uint8_t> levels) {
   auth::CytoCode code;
@@ -30,41 +21,46 @@ auth::CytoCode code_of(std::initializer_list<std::uint8_t> levels) {
   return code;
 }
 
-TEST_F(PersistenceTest, EnrollmentsRoundTrip) {
+auth::EnrollmentDatabase enrollments_round_trip(
+    const auth::EnrollmentDatabase& db) {
+  return decode_enrollments_body(
+      unseal_blob(kMagic, seal_blob(kMagic, encode_enrollments_body(db))));
+}
+
+RecordStore records_round_trip(const RecordStore& store) {
+  return RecordStore(decode_records_body(
+      unseal_blob(kMagic, seal_blob(kMagic, encode_records_body(store)))));
+}
+
+TEST(PersistenceTest, EnrollmentsRoundTrip) {
   auth::EnrollmentDatabase db{auth::CytoAlphabet{}};
   db.enroll("alice", code_of({1, 2}));
   db.enroll("bob", code_of({3, 0}));
-  const auto path = track(temp_path("enroll.bin"));
-  save_enrollments(db, path);
 
-  const auto loaded = load_enrollments(path);
+  const auto loaded = enrollments_round_trip(db);
   EXPECT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded.lookup(code_of({1, 2})), "alice");
   EXPECT_EQ(loaded.lookup(code_of({3, 0})), "bob");
   EXPECT_EQ(loaded.alphabet().levels(), db.alphabet().levels());
 }
 
-TEST_F(PersistenceTest, CustomAlphabetSurvives) {
+TEST(PersistenceTest, CustomAlphabetSurvives) {
   auth::CytoAlphabet alphabet;
   alphabet.concentration_levels_per_ul = {0.0, 200.0, 600.0};
   auth::EnrollmentDatabase db{alphabet};
   db.enroll("carol", code_of({2, 1}));
-  const auto path = track(temp_path("enroll2.bin"));
-  save_enrollments(db, path);
-  const auto loaded = load_enrollments(path);
+  const auto loaded = enrollments_round_trip(db);
   EXPECT_EQ(loaded.alphabet().levels(), 3u);
   EXPECT_DOUBLE_EQ(loaded.alphabet().concentration_levels_per_ul[2], 600.0);
 }
 
-TEST_F(PersistenceTest, RecordsRoundTrip) {
+TEST(PersistenceTest, RecordsRoundTrip) {
   RecordStore store;
   store.store(code_of({1, 1}), {10, {1, 2, 3}});
   store.store(code_of({1, 1}), {11, {4}});
   store.store(code_of({0, 2}), {12, {}});
-  const auto path = track(temp_path("records.bin"));
-  save_records(store, path);
 
-  const auto loaded = load_records(path);
+  const auto loaded = records_round_trip(store);
   EXPECT_EQ(loaded.record_count(), 3u);
   EXPECT_EQ(loaded.fetch(code_of({1, 1})).size(), 2u);
   EXPECT_EQ(loaded.latest(code_of({1, 1}))->session_id, 11u);
@@ -72,39 +68,64 @@ TEST_F(PersistenceTest, RecordsRoundTrip) {
             (std::vector<std::uint8_t>{1, 2, 3}));
 }
 
-TEST_F(PersistenceTest, EmptyStoresRoundTrip) {
-  const auto epath = track(temp_path("empty_enroll.bin"));
-  save_enrollments(auth::EnrollmentDatabase{auth::CytoAlphabet{}}, epath);
-  EXPECT_EQ(load_enrollments(epath).size(), 0u);
-
-  const auto rpath = track(temp_path("empty_records.bin"));
-  save_records(RecordStore{}, rpath);
-  EXPECT_EQ(load_records(rpath).record_count(), 0u);
+TEST(PersistenceTest, EmptyStoresRoundTrip) {
+  EXPECT_EQ(
+      enrollments_round_trip(auth::EnrollmentDatabase{auth::CytoAlphabet{}})
+          .size(),
+      0u);
+  EXPECT_EQ(records_round_trip(RecordStore{}).record_count(), 0u);
 }
 
-TEST_F(PersistenceTest, CorruptedFileRejected) {
+TEST(PersistenceTest, CorruptedFileRejected) {
   auth::EnrollmentDatabase db{auth::CytoAlphabet{}};
   db.enroll("alice", code_of({1, 2}));
-  const auto path = track(temp_path("corrupt.bin"));
-  save_enrollments(db, path);
-  auto bytes = util::read_file(path);
+  auto bytes = seal_blob(kMagic, encode_enrollments_body(db));
   bytes[bytes.size() / 2] ^= 0xFF;
-  util::write_file(path, bytes);
-  EXPECT_THROW((void)load_enrollments(path), std::runtime_error);
+  EXPECT_THROW((void)unseal_blob(kMagic, bytes), PersistenceError);
 }
 
-TEST_F(PersistenceTest, WrongMagicRejected) {
+TEST(PersistenceTest, WrongMagicRejected) {
   RecordStore store;
   store.store(code_of({1, 1}), {1, {9}});
-  const auto path = track(temp_path("wrongmagic.bin"));
-  save_records(store, path);
-  // Records file loaded as enrollments must be refused.
-  EXPECT_THROW((void)load_enrollments(path), std::runtime_error);
+  const auto bytes = seal_blob(kMagic, encode_records_body(store));
+  // A container sealed for one store must not open as another.
+  EXPECT_THROW((void)unseal_blob(kOtherMagic, bytes), PersistenceError);
 }
 
-TEST_F(PersistenceTest, MissingFileThrows) {
-  EXPECT_THROW((void)load_records(temp_path("does_not_exist.bin")),
-               std::runtime_error);
+TEST(PersistenceTest, TruncationRejected) {
+  auth::EnrollmentDatabase db{auth::CytoAlphabet{}};
+  db.enroll("alice", code_of({1, 2}));
+  const auto body = encode_enrollments_body(db);
+  const auto sealed = seal_blob(kMagic, body);
+  for (const std::size_t cut : {std::size_t{0}, std::size_t{7},
+                                sealed.size() / 2, sealed.size() - 1}) {
+    const std::span<const std::uint8_t> torn(sealed.data(), cut);
+    EXPECT_THROW((void)unseal_blob(kMagic, torn), PersistenceError) << cut;
+  }
+  const std::span<const std::uint8_t> short_body(body.data(),
+                                                 body.size() - 1);
+  EXPECT_THROW((void)decode_enrollments_body(short_body), PersistenceError);
+}
+
+TEST(PersistenceTest, TrailingBytesRejected) {
+  RecordStore store;
+  store.store(code_of({1, 1}), {1, {9}});
+  auto body = encode_records_body(store);
+  auto sealed = seal_blob(kMagic, body);
+  sealed.push_back(0);
+  EXPECT_THROW((void)unseal_blob(kMagic, sealed), PersistenceError);
+  body.push_back(0);
+  EXPECT_THROW((void)decode_records_body(body), PersistenceError);
+}
+
+TEST(PersistenceTest, HostileCountsRejected) {
+  // A count of 2^32-1 entries in a few bytes must be refused up front,
+  // never trusted as an allocation size.
+  const std::vector<std::uint8_t> hostile = {0xFF, 0xFF, 0xFF, 0xFF};
+  EXPECT_THROW((void)decode_records_body(hostile), PersistenceError);
+  std::vector<std::uint8_t> registry(4, 0);  // reserved
+  registry.insert(registry.end(), hostile.begin(), hostile.end());
+  EXPECT_THROW((void)decode_registry_body(registry), PersistenceError);
 }
 
 TEST(FileIo, RoundTripAndExists) {

@@ -1,6 +1,7 @@
 #include "cloud/server.h"
 
 #include "compress/codec.h"
+#include "session_fixture.h"
 
 #include <gtest/gtest.h>
 
@@ -11,14 +12,11 @@
 namespace medsen::cloud {
 namespace {
 
-const std::vector<std::uint8_t> kMacKey = {1, 2, 3, 4};
-constexpr std::uint64_t kDevice = 1;
+using test_support::command;
+using test_support::make_server;
+using test_support::open_session;
 
-CloudServer make_server(ServiceConfig service = {}) {
-  return CloudServer(AnalysisConfig{}, auth::CytoAlphabet{},
-                     auth::ParticleClassifier::train({}),
-                     auth::VerifierConfig{}, nullptr, service);
-}
+constexpr std::uint64_t kDevice = 1;
 
 util::MultiChannelSeries dip_series(std::size_t dips) {
   util::MultiChannelSeries series;
@@ -73,29 +71,27 @@ util::MultiChannelSeries drifting_series() {
   return series;
 }
 
+/// A session-plane upload; `counter` pins the command counter (to
+/// resend on purpose), otherwise the next one is taken.
 net::Envelope upload_of(const util::MultiChannelSeries& series,
-                        std::uint64_t session,
-                        std::uint64_t device = kDevice,
-                        std::span<const std::uint8_t> key = kMacKey) {
+                        core::SessionCrypto& crypto,
+                        std::optional<std::uint32_t> counter = {}) {
   net::SignalUploadPayload payload;
   payload.compressed = false;
   payload.sample_rate_hz = 450.0;
   payload.data = net::serialize_series(series);
-  return net::make_envelope(net::MessageType::kSignalUpload, session, device,
-                            payload.serialize(), key);
+  return command(crypto, net::MessageType::kSignalUpload, payload.serialize(),
+                 counter);
 }
 
 net::Envelope auth_of(const util::MultiChannelSeries& series,
-                      std::uint64_t session, double volume_ul,
-                      double duration_s = 0.0) {
+                      core::SessionCrypto& crypto, double volume_ul) {
   net::AuthPassPayload pass;
   pass.upload.compressed = false;
   pass.upload.sample_rate_hz = 450.0;
   pass.upload.data = net::serialize_series(series);
   pass.volume_ul = volume_ul;
-  pass.duration_s = duration_s;
-  return net::make_envelope(net::MessageType::kAuthPass, session, kDevice,
-                            pass.serialize(), kMacKey);
+  return command(crypto, net::MessageType::kAuthPass, pass.serialize());
 }
 
 net::ErrorPayload expect_error(const net::Envelope& response,
@@ -108,22 +104,26 @@ net::ErrorPayload expect_error(const net::Envelope& response,
 
 TEST(CloudServer, HandleUploadReturnsReport) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
-  const auto response = server.handle(upload_of(dip_series(3), 5));
+  auto crypto = open_session(server, kDevice, 5);
+  const auto response = server.handle(upload_of(dip_series(3), crypto));
   EXPECT_EQ(response.type, net::MessageType::kAnalysisResult);
   EXPECT_EQ(response.session_id, 5u);
   EXPECT_EQ(response.device_id, kDevice);
-  EXPECT_TRUE(net::verify_envelope(response, kMacKey));
+  EXPECT_EQ(response.counter, 1u);
+  EXPECT_TRUE(net::verify_envelope(response, crypto.session_mac_key()));
   const auto report = core::PeakReport::deserialize(response.payload);
   EXPECT_EQ(report.reference_peak_count(), 3u);
 }
 
 TEST(CloudServer, UnknownDeviceGetsError) {
   auto server = make_server();
-  // Nothing provisioned: the request is refused before MAC verification
-  // (the server has no key to check against), and the error is unsigned
-  // — the server holds no credential for the unknown sender.
-  const auto response = server.handle(upload_of(dip_series(1), 1));
+  server.rotate_master_key(test_support::kEpoch, test_support::master_key());
+  // Never enrolled: the handshake is refused before MAC verification
+  // (the server derives no key to check against), and the error is
+  // unsigned — the server holds no credential for the unknown sender.
+  core::SessionCrypto stranger(kDevice, test_support::device_key(kDevice),
+                               test_support::kEpoch, 1);
+  const auto response = server.handle(stranger.make_challenge(1));
   const auto error =
       expect_error(response, net::ErrorCode::kUnknownDevice);
   EXPECT_NE(error.detail.find("not provisioned"), std::string::npos);
@@ -132,63 +132,63 @@ TEST(CloudServer, UnknownDeviceGetsError) {
 
 TEST(CloudServer, BadMacGetsError) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
-  auto upload = upload_of(dip_series(1), 1);
+  auto crypto = open_session(server, kDevice);
+  auto upload = upload_of(dip_series(1), crypto);
   upload.payload[0] ^= 0xFF;
   const auto response = server.handle(upload);
   expect_error(response, net::ErrorCode::kBadMac);
-  EXPECT_TRUE(net::verify_envelope(response, kMacKey));
+  EXPECT_TRUE(net::verify_envelope(response, crypto.session_mac_key()));
 }
 
 TEST(CloudServer, WrongDeviceKeyGetsBadMacError) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
-  server.provision_device(2, {9, 9, 9});
-  // Device 2 signing with device 1's key: the registry key wins.
-  const auto response =
-      server.handle(upload_of(dip_series(1), 1, 2, kMacKey));
-  expect_error(response, net::ErrorCode::kBadMac);
+  test_support::enroll(server, kDevice);
+  test_support::enroll(server, 2);
+  // Device 2 handshaking with device 1's key: the derived key wins.
+  core::SessionCrypto impostor(2, test_support::device_key(kDevice),
+                               test_support::kEpoch, 1);
+  expect_error(server.handle(impostor.make_challenge(1)),
+               net::ErrorCode::kBadMac);
 }
 
 TEST(CloudServer, UnroutableTypeGetsMalformedError) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
-  const auto envelope = net::make_envelope(net::MessageType::kProgress, 1,
-                                           kDevice, {}, kMacKey);
-  expect_error(server.handle(envelope), net::ErrorCode::kMalformed);
+  auto crypto = open_session(server, kDevice);
+  expect_error(server.handle(command(crypto, net::MessageType::kProgress, {})),
+               net::ErrorCode::kMalformed);
 }
 
 TEST(CloudServer, UndecodablePayloadGetsMalformedError) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
+  auto crypto = open_session(server, kDevice);
   // A correctly MAC'd envelope whose payload is garbage: the decoder
   // throw must be converted at the dispatch boundary, not escape.
-  const auto envelope = net::make_envelope(
-      net::MessageType::kSignalUpload, 1, kDevice, {0xDE, 0xAD}, kMacKey);
+  const auto envelope =
+      command(crypto, net::MessageType::kSignalUpload, {0xDE, 0xAD});
   expect_error(server.handle(envelope), net::ErrorCode::kMalformed);
 }
 
 TEST(CloudServer, TruncatedPayloadGetsMalformedError) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
+  auto crypto = open_session(server, kDevice);
   net::SignalUploadPayload payload;
   payload.data = net::serialize_series(dip_series(1));
   auto bytes = payload.serialize();
   bytes.resize(bytes.size() / 2);  // cut mid-payload, then re-MAC
-  const auto envelope = net::make_envelope(net::MessageType::kSignalUpload, 3,
-                                           kDevice, std::move(bytes), kMacKey);
+  const auto envelope =
+      command(crypto, net::MessageType::kSignalUpload, std::move(bytes));
   expect_error(server.handle(envelope), net::ErrorCode::kMalformed);
 }
 
 TEST(CloudServer, TrailingPayloadBytesGetMalformedError) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
+  auto crypto = open_session(server, kDevice);
   net::SignalUploadPayload payload;
   payload.data = net::serialize_series(dip_series(1));
   auto bytes = payload.serialize();
   bytes.push_back(0x00);  // strict decoders refuse appended garbage
-  const auto envelope = net::make_envelope(net::MessageType::kSignalUpload, 4,
-                                           kDevice, std::move(bytes), kMacKey);
+  const auto envelope =
+      command(crypto, net::MessageType::kSignalUpload, std::move(bytes));
   expect_error(server.handle(envelope), net::ErrorCode::kMalformed);
 }
 
@@ -197,7 +197,7 @@ TEST(CloudServer, BitFlippedPayloadNeverEscapesAsException) {
   // a stolen key): whatever the decoder makes of it, the service
   // boundary must answer with an envelope, not throw.
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
+  auto crypto = open_session(server, kDevice);
   net::SignalUploadPayload payload;
   payload.sample_rate_hz = 450.0;
   payload.data = net::serialize_series(dip_series(1));
@@ -206,9 +206,8 @@ TEST(CloudServer, BitFlippedPayloadNeverEscapesAsException) {
     auto corrupted = bytes;
     corrupted[(bit * 131) % corrupted.size()] ^=
         static_cast<std::uint8_t>(1u << (bit % 8));
-    const auto envelope =
-        net::make_envelope(net::MessageType::kSignalUpload, 100 + bit,
-                           kDevice, std::move(corrupted), kMacKey);
+    const auto envelope = command(crypto, net::MessageType::kSignalUpload,
+                                  std::move(corrupted));
     net::Envelope response;
     EXPECT_NO_THROW(response = server.handle(envelope)) << "bit " << bit;
   }
@@ -218,26 +217,24 @@ TEST(CloudServer, HostileSeriesCountGetsMalformedError) {
   // A payload declaring 2^32-1 channels must be shot down by the decoder
   // bounds check and surface as kMalformed — not as an OOM.
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
+  auto crypto = open_session(server, kDevice);
   net::SignalUploadPayload payload;
   payload.data = {0xFF, 0xFF, 0xFF, 0xFF};
   const auto envelope =
-      net::make_envelope(net::MessageType::kSignalUpload, 6, kDevice,
-                         payload.serialize(), kMacKey);
+      command(crypto, net::MessageType::kSignalUpload, payload.serialize());
   expect_error(server.handle(envelope), net::ErrorCode::kMalformed);
 }
 
 TEST(CloudServer, CompressedUploadAccepted) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
+  auto crypto = open_session(server, kDevice);
   const auto series = dip_series(2);
   net::SignalUploadPayload payload;
   payload.compressed = true;
   payload.sample_rate_hz = 450.0;
   payload.data = compress::compress(net::serialize_series(series));
-  const auto upload = net::make_envelope(net::MessageType::kSignalUpload, 9,
-                                         kDevice, payload.serialize(),
-                                         kMacKey);
+  const auto upload =
+      command(crypto, net::MessageType::kSignalUpload, payload.serialize());
   const auto response = server.handle(upload);
   const auto report = core::PeakReport::deserialize(response.payload);
   EXPECT_EQ(report.reference_peak_count(), 2u);
@@ -245,19 +242,19 @@ TEST(CloudServer, CompressedUploadAccepted) {
 
 TEST(CloudServer, QualityRejectionsCarryDistinctReasons) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
+  auto crypto = open_session(server, kDevice);
   const auto saturated =
-      expect_error(server.handle(upload_of(saturated_series(), 1)),
+      expect_error(server.handle(upload_of(saturated_series(), crypto)),
                    net::ErrorCode::kQualityRejected);
   EXPECT_EQ(saturated.subcode,
             static_cast<std::uint8_t>(QualityReason::kSaturated));
   const auto dropout =
-      expect_error(server.handle(upload_of(dropout_series(), 2)),
+      expect_error(server.handle(upload_of(dropout_series(), crypto)),
                    net::ErrorCode::kQualityRejected);
   EXPECT_EQ(dropout.subcode,
             static_cast<std::uint8_t>(QualityReason::kDropout));
   const auto drift =
-      expect_error(server.handle(upload_of(drifting_series(), 3)),
+      expect_error(server.handle(upload_of(drifting_series(), crypto)),
                    net::ErrorCode::kQualityRejected);
   EXPECT_EQ(drift.subcode,
             static_cast<std::uint8_t>(QualityReason::kDrift));
@@ -269,25 +266,26 @@ TEST(CloudServer, QualityRejectionsCarryDistinctReasons) {
 
 TEST(CloudServer, QualityGateTogglable) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
-  expect_error(server.handle(upload_of(saturated_series(), 1)),
+  auto crypto = open_session(server, kDevice);
+  expect_error(server.handle(upload_of(saturated_series(), crypto)),
                net::ErrorCode::kQualityRejected);
   server.set_quality_gate(false);
-  const auto response = server.handle(upload_of(saturated_series(), 2));
+  const auto response = server.handle(upload_of(saturated_series(), crypto));
   EXPECT_EQ(response.type, net::MessageType::kAnalysisResult);
 }
 
 TEST(CloudServer, DuplicateUploadServedFromCacheNotReanalyzed) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
-  const auto upload = upload_of(dip_series(3), 5);
+  auto crypto = open_session(server, kDevice);
+  const auto handshakes = server.requests_processed();
+  const auto upload = upload_of(dip_series(3), crypto);
   const auto first = server.handle(upload);
-  EXPECT_EQ(server.requests_processed(), 1u);
+  EXPECT_EQ(server.requests_processed(), handshakes + 1);
 
   // The reliable transport re-uploads when the response is lost; the
   // replay must return the identical envelope without a second analysis.
   const auto second = server.handle(upload);
-  EXPECT_EQ(server.requests_processed(), 1u);
+  EXPECT_EQ(server.requests_processed(), handshakes + 1);
   EXPECT_EQ(server.replays_served(), 1u);
   EXPECT_EQ(second.payload, first.payload);
   EXPECT_TRUE(crypto::digest_equal(second.mac, first.mac));
@@ -295,45 +293,49 @@ TEST(CloudServer, DuplicateUploadServedFromCacheNotReanalyzed) {
 
 TEST(CloudServer, SessionReplayWithDifferentPayloadRejected) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
-  (void)server.handle(upload_of(dip_series(3), 5));
-  // Same session_id, different acquisition: a protocol violation, not a
-  // transport retry.
-  expect_error(server.handle(upload_of(dip_series(2), 5)),
+  auto crypto = open_session(server, kDevice);
+  const auto handshakes = server.requests_processed();
+  const auto first = upload_of(dip_series(3), crypto);
+  (void)server.handle(first);
+  // Same session and counter, different acquisition: a protocol
+  // violation, not a transport retry.
+  expect_error(server.handle(upload_of(dip_series(2), crypto, first.counter)),
                net::ErrorCode::kSessionConflict);
-  EXPECT_EQ(server.requests_processed(), 1u);
+  EXPECT_EQ(server.requests_processed(), handshakes + 1);
 }
 
 TEST(CloudServer, DuplicateAuthServedFromCache) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
-  const auto upload = auth_of(dip_series(2), 3, 1.0);
+  auto crypto = open_session(server, kDevice);
+  const auto handshakes = server.requests_processed();
+  const auto upload = auth_of(dip_series(2), crypto, 1.0);
   const auto first = server.handle(upload);
   const auto second = server.handle(upload);
   EXPECT_EQ(first.type, net::MessageType::kAuthDecision);
-  EXPECT_EQ(server.requests_processed(), 1u);
+  EXPECT_EQ(server.requests_processed(), handshakes + 1);
   EXPECT_EQ(server.replays_served(), 1u);
   EXPECT_EQ(second.payload, first.payload);
 }
 
 TEST(CloudServer, RejectedUploadIsNotCached) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
-  const auto upload = upload_of(saturated_series(), 8);
+  auto crypto = open_session(server, kDevice);
+  const auto handshakes = server.requests_processed();
+  const auto upload = upload_of(saturated_series(), crypto);
   expect_error(server.handle(upload), net::ErrorCode::kQualityRejected);
-  EXPECT_EQ(server.requests_processed(), 0u);
+  EXPECT_EQ(server.requests_processed(), handshakes);
   // A retry after the gate is lifted reprocesses instead of replaying
-  // the failure.
+  // the failure (a rejected command does not burn its counter).
   server.set_quality_gate(false);
   const auto response = server.handle(upload);
   EXPECT_EQ(response.type, net::MessageType::kAnalysisResult);
-  EXPECT_EQ(server.requests_processed(), 1u);
+  EXPECT_EQ(server.requests_processed(), handshakes + 1);
   EXPECT_EQ(server.replays_served(), 0u);
 }
 
 TEST(CloudServer, AdmissionLimitShedsWithOverloadedError) {
   auto server = make_server({/*quality_gate=*/true, /*max_inflight=*/2});
-  server.provision_device(kDevice, kMacKey);
+  auto crypto = open_session(server, kDevice);
   // Fill the admission gate from the outside so the shed is
   // deterministic, no timing games needed.
   auto slot1 = server.admission().try_enter();
@@ -341,28 +343,28 @@ TEST(CloudServer, AdmissionLimitShedsWithOverloadedError) {
   ASSERT_TRUE(slot1.admitted());
   ASSERT_TRUE(slot2.admitted());
 
-  const auto response = server.handle(upload_of(dip_series(1), 1));
+  const auto response = server.handle(upload_of(dip_series(1), crypto));
   expect_error(response, net::ErrorCode::kOverloaded);
-  EXPECT_TRUE(net::verify_envelope(response, kMacKey));
+  // Shed before key resolution: signed with the long-term key.
+  EXPECT_TRUE(net::verify_envelope(response, crypto.device_key()));
   EXPECT_EQ(server.stats().requests_shed, 1u);
 
   slot1.release();
-  const auto retried = server.handle(upload_of(dip_series(1), 2));
+  const auto retried = server.handle(upload_of(dip_series(1), crypto));
   EXPECT_EQ(retried.type, net::MessageType::kAnalysisResult);
 }
 
 TEST(CloudServer, MultiTenantSessionsAreIsolated) {
   auto server = make_server();
-  const std::vector<std::uint8_t> key_a = {0xA};
-  const std::vector<std::uint8_t> key_b = {0xB};
-  server.provision_device(1, key_a);
-  server.provision_device(2, key_b);
-  // The same session_id on two devices must not collide in the cache.
-  const auto a = server.handle(upload_of(dip_series(1), 7, 1, key_a));
-  const auto b = server.handle(upload_of(dip_series(2), 7, 2, key_b));
+  // The same session id on two devices must not collide in the cache.
+  auto crypto_a = open_session(server, 1, 7);
+  auto crypto_b = open_session(server, 2, 7);
+  const auto handshakes = server.requests_processed();
+  const auto a = server.handle(upload_of(dip_series(1), crypto_a));
+  const auto b = server.handle(upload_of(dip_series(2), crypto_b));
   EXPECT_EQ(a.type, net::MessageType::kAnalysisResult);
   EXPECT_EQ(b.type, net::MessageType::kAnalysisResult);
-  EXPECT_EQ(server.requests_processed(), 2u);
+  EXPECT_EQ(server.requests_processed(), handshakes + 2);
   EXPECT_EQ(server.replays_served(), 0u);
   EXPECT_EQ(core::PeakReport::deserialize(a.payload).reference_peak_count(),
             1u);
@@ -372,11 +374,11 @@ TEST(CloudServer, MultiTenantSessionsAreIsolated) {
 
 TEST(CloudServer, DeviceRevocationTakesEffect) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
-  EXPECT_EQ(server.handle(upload_of(dip_series(1), 1)).type,
+  auto crypto = open_session(server, kDevice);
+  EXPECT_EQ(server.handle(upload_of(dip_series(1), crypto)).type,
             net::MessageType::kAnalysisResult);
   server.devices().revoke(kDevice);
-  expect_error(server.handle(upload_of(dip_series(1), 2)),
+  expect_error(server.handle(upload_of(dip_series(1), crypto)),
                net::ErrorCode::kRevoked);
 }
 
@@ -386,21 +388,25 @@ TEST(CloudServer, DeviceRevocationTakesEffect) {
 // written to an unsynchronized member on every upload.
 TEST(CloudServer, ConcurrentMixedUploadsAreRaceFree) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
+  auto crypto = open_session(server, kDevice);
+  const auto handshakes = server.requests_processed();
   constexpr int kThreads = 4;
   constexpr int kPerThread = 3;
+  // SessionCrypto is single-threaded state: stamp every command up front
+  // and let the threads race only inside the server.
+  std::vector<std::vector<net::Envelope>> batches(kThreads);
+  for (int t = 0; t < kThreads; ++t)
+    for (int i = 0; i < kPerThread; ++i)
+      batches[t].push_back((t + i) % 2 == 0
+                               ? upload_of(saturated_series(), crypto)
+                               : upload_of(dip_series(1), crypto));
   std::vector<std::thread> workers;
   std::atomic<int> accepted{0};
   std::atomic<int> rejected{0};
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        const std::uint64_t session =
-            100 + static_cast<std::uint64_t>(t * kPerThread + i);
-        const bool bad = (t + i) % 2 == 0;
-        const auto response = server.handle(
-            bad ? upload_of(saturated_series(), session)
-                : upload_of(dip_series(1), session));
+      for (const auto& upload : batches[t]) {
+        const auto response = server.handle(upload);
         if (response.type == net::MessageType::kAnalysisResult)
           accepted.fetch_add(1);
         else if (net::ErrorPayload::deserialize(response.payload).code ==
@@ -412,7 +418,7 @@ TEST(CloudServer, ConcurrentMixedUploadsAreRaceFree) {
   for (auto& worker : workers) worker.join();
   EXPECT_EQ(accepted.load() + rejected.load(), kThreads * kPerThread);
   EXPECT_EQ(server.requests_processed(),
-            static_cast<std::uint64_t>(accepted.load()));
+            handshakes + static_cast<std::uint64_t>(accepted.load()));
   EXPECT_EQ(server.stats().errors_returned,
             static_cast<std::uint64_t>(rejected.load()));
 }
@@ -427,9 +433,9 @@ TEST(CloudServer, RecordStoreAccessible) {
 
 TEST(CloudServer, AuthDecisionForUnknownUserRejected) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
+  auto crypto = open_session(server, kDevice);
   // No enrollments: any census must fail authentication.
-  const auto response = server.handle(auth_of(dip_series(2), 3, 1.0));
+  const auto response = server.handle(auth_of(dip_series(2), crypto, 1.0));
   EXPECT_EQ(response.type, net::MessageType::kAuthDecision);
   const auto decision =
       net::AuthDecisionPayload::deserialize(response.payload);
@@ -438,11 +444,12 @@ TEST(CloudServer, AuthDecisionForUnknownUserRejected) {
 
 TEST(CloudServer, StatsAccumulateProcessingTime) {
   auto server = make_server();
-  server.provision_device(kDevice, kMacKey);
-  (void)server.handle(upload_of(dip_series(1), 1));
-  (void)server.handle(upload_of(dip_series(2), 2));
+  auto crypto = open_session(server, kDevice);
+  (void)server.handle(upload_of(dip_series(1), crypto));
+  (void)server.handle(upload_of(dip_series(2), crypto));
   const auto stats = server.stats();
-  EXPECT_EQ(stats.requests_processed, 2u);
+  EXPECT_EQ(stats.requests_processed, 3u);  // the handshake + 2 uploads
+  EXPECT_EQ(stats.handshakes_completed, 1u);
   EXPECT_GT(stats.processing_time_s, 0.0);
 }
 

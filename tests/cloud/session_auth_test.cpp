@@ -35,7 +35,7 @@ TEST(SessionAuth, WrongSessionIdIsNoSession) {
 TEST(SessionAuth, CounterZeroIsNeverSessionPlane) {
   SessionAuthTable table(4);
   table.establish(1, 100, test_key(0xaa));
-  // Counter 0 is the legacy/handshake plane; the session plane counts
+  // Counter 0 is the handshake's; session commands count
   // from 1, so 0 can never be fresh here.
   EXPECT_EQ(table.classify(1, 100, 0), CounterStatus::kStale);
 }

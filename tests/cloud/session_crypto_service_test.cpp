@@ -1,10 +1,11 @@
 // End-to-end tests of the EV2-style session plane across the service
 // boundary: AuthChallenge/AuthResponse handshakes, command counters,
 // diversified keys (zero stored per-device secrets), rotation /
-// revocation, and the registry's persistence round trip.
+// revocation, and the registry's snapshot-codec round trip.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -14,22 +15,20 @@
 #include "cloud/server.h"
 #include "core/session_crypto.h"
 #include "crypto/cmac.h"
-#include "util/fileio.h"
+#include "session_fixture.h"
+#include "util/serialize.h"
 
 namespace medsen::cloud {
 namespace {
+
+using test_support::handshake;
+using test_support::make_server;
 
 constexpr std::uint64_t kDevice = 7;
 constexpr std::uint64_t kSeed = 0x1234;
 
 std::vector<std::uint8_t> master_key(std::uint8_t fill) {
   return std::vector<std::uint8_t>(16, fill);
-}
-
-CloudServer make_server(ServiceConfig service = {}) {
-  return CloudServer(AnalysisConfig{}, auth::CytoAlphabet{},
-                     auth::ParticleClassifier::train({}),
-                     auth::VerifierConfig{}, nullptr, service);
 }
 
 util::MultiChannelSeries dip_series(std::size_t dips) {
@@ -69,12 +68,6 @@ net::ErrorPayload expect_error(const net::Envelope& response,
   const auto error = net::ErrorPayload::deserialize(response.payload);
   EXPECT_EQ(error.code, code) << "detail: " << error.detail;
   return error;
-}
-
-/// Run the device side of the handshake directly against handle().
-bool handshake(core::SessionCrypto& crypto, std::uint64_t session,
-               CloudServer& server) {
-  return crypto.complete(server.handle(crypto.make_challenge(session)));
 }
 
 /// A server with one enrolled (diversified) device and the matching
@@ -122,16 +115,31 @@ TEST(SessionService, SessionCommandsRideDerivedKeyAndCounters) {
   }
 }
 
-// The diversification pitch, pinned: an enrolled-only fleet leaves the
-// registry holding zero per-device secrets, and every device still
-// authenticates via on-demand derivation.
+// The diversification pitch, pinned: an enrolled fleet's registry
+// snapshot — exactly what compaction seals to disk — holds the epoch
+// master and device ids only, never a per-device key, and every device
+// still authenticates via on-demand derivation.
 TEST(SessionService, ZeroStoredPerDeviceSecretsPinned) {
   auto server = make_server();
   server.rotate_master_key(1, master_key(0x5a));
   for (std::uint64_t id = 1; id <= 32; ++id) server.enroll_device(id);
-
   EXPECT_EQ(server.devices().size(), 32u);
-  ASSERT_EQ(server.devices().stored_secret_count(), 0u);
+
+  const auto holds_device_key = [&] {
+    const auto body = encode_registry_body(server.devices());
+    for (std::uint64_t id = 1; id <= 32; ++id) {
+      const auto key =
+          crypto::diversify_device_key(master_key(0x5a), id, 1);
+      if (std::search(body.begin(), body.end(), key.begin(), key.end()) !=
+          body.end())
+        return true;
+    }
+    return false;
+  };
+  const auto snapshot = server.devices().snapshot();
+  EXPECT_EQ(snapshot.masters.size(), 1u);
+  EXPECT_EQ(snapshot.enrolled.size(), 32u);
+  ASSERT_FALSE(holds_device_key());
 
   for (std::uint64_t id : {std::uint64_t{1}, std::uint64_t{17}}) {
     core::SessionCrypto crypto(
@@ -140,7 +148,7 @@ TEST(SessionService, ZeroStoredPerDeviceSecretsPinned) {
     EXPECT_TRUE(handshake(crypto, 1000 + id, server));
   }
   // Handshakes created sessions, not stored long-term secrets.
-  EXPECT_EQ(server.devices().stored_secret_count(), 0u);
+  EXPECT_FALSE(holds_device_key());
 }
 
 TEST(SessionService, SessionEnvelopeWithWrongKeyRejected) {
@@ -169,7 +177,7 @@ TEST(SessionService, ReplayRejectedAfterCacheEvictionPinned) {
   service.shards = 1;  // one cache shard so the flood evicts the victim
   service.session_cache_capacity = 4;
   DiversifiedRig rig(service);
-  rig.server.provision_device(2, {9, 9, 9});  // the cache-flooding tenant
+  auto flooder = test_support::open_session(rig.server, 2, 500);
 
   ASSERT_TRUE(handshake(rig.crypto, 100, rig.server));
   const auto& session_key = rig.crypto.session_mac_key();
@@ -186,9 +194,9 @@ TEST(SessionService, ReplayRejectedAfterCacheEvictionPinned) {
   // Flood the 4-slot cache from another device until the exchange is
   // evicted...
   const auto series = dip_series(1);
-  const std::vector<std::uint8_t> other_key = {9, 9, 9};
-  for (std::uint64_t s = 1; s <= 8; ++s)
-    rig.server.handle(upload_of(series, 500 + s, 2, other_key));
+  for (int s = 0; s < 8; ++s)
+    rig.server.handle(upload_of(series, 500, 2, flooder.session_mac_key(),
+                                flooder.next_counter()));
 
   // ...then replay. The cache can no longer answer, but the counter
   // window still knows counter 1 was burned.
@@ -214,35 +222,6 @@ TEST(SessionService, StaleCounterBelowWindowRejected) {
   expect_error(response, net::ErrorCode::kStaleCounter);
 }
 
-// Satellite pin: re-provisioning is an explicit rotation. The old key —
-// and any session negotiated under it — dies at the provision call.
-TEST(SessionService, ReprovisionRotatesAndKillsSessionsPinned) {
-  auto server = make_server();
-  const std::vector<std::uint8_t> old_key = {1, 2, 3, 4};
-  const std::vector<std::uint8_t> new_key = {5, 6, 7, 8};
-  ASSERT_EQ(server.provision_device(kDevice, old_key),
-            DeviceRegistry::ProvisionResult::kNew);
-
-  // Handshake on the legacy long-term key.
-  core::SessionCrypto crypto(kDevice, old_key, 0, kSeed);
-  ASSERT_TRUE(handshake(crypto, 100, server));
-  const auto session_key = crypto.session_mac_key();
-
-  ASSERT_EQ(server.provision_device(kDevice, new_key),
-            DeviceRegistry::ProvisionResult::kRotated);
-
-  // The old legacy plane is dead...
-  expect_error(server.handle(upload_of(dip_series(1), 200, kDevice, old_key)),
-               net::ErrorCode::kBadMac);
-  // ...and so is the session negotiated under the old key.
-  expect_error(
-      server.handle(upload_of(dip_series(1), 100, kDevice, session_key, 1)),
-      net::ErrorCode::kAuthRequired);
-  // The new key works immediately.
-  EXPECT_EQ(server.handle(upload_of(dip_series(1), 300, kDevice, new_key)).type,
-            net::MessageType::kAnalysisResult);
-}
-
 TEST(SessionService, RevokedDeviceRefusedOnEveryPlane) {
   DiversifiedRig rig;
   ASSERT_TRUE(handshake(rig.crypto, 100, rig.server));
@@ -250,11 +229,14 @@ TEST(SessionService, RevokedDeviceRefusedOnEveryPlane) {
 
   ASSERT_TRUE(rig.server.revoke_device(kDevice));
 
-  // Session commands, fresh handshakes and (were one provisioned) legacy
-  // traffic all come back kRevoked.
+  // Session commands, counter-0 commands and fresh handshakes all come
+  // back kRevoked: revocation outranks every other check.
   expect_error(
       rig.server.handle(upload_of(dip_series(1), 100, kDevice, session_key, 1)),
       net::ErrorCode::kRevoked);
+  expect_error(rig.server.handle(upload_of(dip_series(1), 100, kDevice,
+                                           rig.crypto.device_key())),
+               net::ErrorCode::kRevoked);
   rig.crypto.invalidate();
   expect_error(rig.server.handle(rig.crypto.make_challenge(101)),
                net::ErrorCode::kRevoked);
@@ -293,27 +275,6 @@ TEST(SessionService, MasterRotationForcesRehandshakeWithGraceWindow) {
                net::ErrorCode::kBadEpoch);
 }
 
-TEST(SessionService, LegacyPlaneCanBeDisabled) {
-  ServiceConfig service;
-  service.allow_legacy_plane = false;
-  DiversifiedRig rig(service);
-  rig.server.provision_device(3, {1, 2, 3});
-
-  // Counter-0 command traffic is refused even with a valid legacy key...
-  const std::vector<std::uint8_t> legacy_key = {1, 2, 3};
-  expect_error(rig.server.handle(upload_of(dip_series(1), 50, 3, legacy_key)),
-               net::ErrorCode::kAuthRequired);
-
-  // ...but the handshake still rides counter 0, and session commands
-  // flow afterwards.
-  ASSERT_TRUE(handshake(rig.crypto, 100, rig.server));
-  EXPECT_EQ(rig.server.handle(upload_of(dip_series(1), 100, kDevice,
-                                        rig.crypto.session_mac_key(),
-                                        rig.crypto.next_counter()))
-                .type,
-            net::MessageType::kAnalysisResult);
-}
-
 TEST(SessionService, HandshakeRetransmitServedFromCache) {
   DiversifiedRig rig;
   const auto challenge = rig.crypto.make_challenge(100);
@@ -329,50 +290,71 @@ TEST(SessionService, HandshakeRetransmitServedFromCache) {
   ASSERT_TRUE(rig.crypto.complete(second));
 }
 
+// The registry's keying state through the durable snapshot codec (the
+// body DurableState seals into registry.snap).
+constexpr std::uint32_t kRegistryMagic = 0x4D445247;  // "MDRG"
+
+RegistrySnapshot round_trip(const DeviceRegistry& registry) {
+  return decode_registry_body(unseal_blob(
+      kRegistryMagic,
+      seal_blob(kRegistryMagic, encode_registry_body(registry))));
+}
+
 TEST(RegistryPersistence, RoundTripsAllKeyingState) {
   DeviceRegistry registry(4);
-  registry.provision(1, {1, 2, 3});
-  registry.provision(2, {4, 5, 6});
   registry.set_master_key(1, master_key(0x5a));
   registry.set_master_key(2, master_key(0xc3));
   registry.enroll(10);
   registry.enroll(11);
-  registry.revoke(2);
+  registry.enroll(12);
   registry.revoke(11);
 
-  const std::string path = testing::TempDir() + "/registry_roundtrip.bin";
-  save_registry(registry, path);
-
   DeviceRegistry loaded(8);  // shard count is a process detail, not state
-  load_registry(loaded, path);
+  loaded.restore(round_trip(registry));
 
   EXPECT_EQ(loaded.current_epoch(), 2u);
   EXPECT_TRUE(loaded.has_epoch(1));
-  EXPECT_EQ(loaded.lookup(1), registry.lookup(1));
+  EXPECT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded.lookup(10), registry.lookup(10));
-  EXPECT_EQ(loaded.lookup_epoch(10, 1), registry.lookup_epoch(10, 1));
-  EXPECT_TRUE(loaded.is_revoked(2));
+  EXPECT_EQ(loaded.lookup_epoch(12, 1), registry.lookup_epoch(12, 1));
   EXPECT_TRUE(loaded.is_revoked(11));
-  EXPECT_EQ(loaded.stored_secret_count(), registry.stored_secret_count());
+  EXPECT_FALSE(loaded.lookup(11).has_value());
 
-  // Deterministic serialization: a second save is byte-identical.
-  const std::string again = testing::TempDir() + "/registry_again.bin";
-  save_registry(loaded, again);
-  EXPECT_EQ(util::read_file(path), util::read_file(again));
+  // Deterministic serialization: re-encoding is byte-identical.
+  EXPECT_EQ(encode_registry_body(loaded), encode_registry_body(registry));
 }
 
 TEST(RegistryPersistence, RejectsCorruptFile) {
   DeviceRegistry registry(2);
-  registry.provision(1, {1, 2, 3});
-  const std::string path = testing::TempDir() + "/registry_corrupt.bin";
-  save_registry(registry, path);
-
-  auto bytes = util::read_file(path);
+  registry.set_master_key(1, master_key(0x5a));
+  registry.enroll(1);
+  auto bytes = seal_blob(kRegistryMagic, encode_registry_body(registry));
   bytes[bytes.size() / 2] ^= 0xff;
-  util::write_file_atomic(path, bytes);
+  EXPECT_THROW((void)decode_registry_body(unseal_blob(kRegistryMagic, bytes)),
+               PersistenceError);
+}
 
-  DeviceRegistry loaded(2);
-  EXPECT_THROW(load_registry(loaded, path), std::runtime_error);
+// The body's leading u32 once counted static per-device keys. It is
+// reserved as 0: a body written with such keys (u32 count | (u64 id |
+// blob key)*, then the master/enrolled/revoked sections) fails closed
+// rather than being loaded.
+TEST(RegistryPersistence, RejectsNonZeroReservedCount) {
+  DeviceRegistry registry(2);
+  registry.set_master_key(1, master_key(0x5a));
+  registry.enroll(1);
+  const auto body = encode_registry_body(registry);
+  EXPECT_NO_THROW((void)decode_registry_body(body));
+
+  util::ByteWriter with_key;
+  with_key.u32(1);  // one static per-device key...
+  with_key.u64(3);
+  with_key.blob(std::vector<std::uint8_t>{1, 2, 3});
+  with_key.u32(0);  // ...and no masters, epoch 0, nothing enrolled
+  with_key.u32(0);
+  with_key.u32(0);
+  with_key.u32(0);
+  EXPECT_THROW((void)decode_registry_body(with_key.data()),
+               PersistenceError);
 }
 
 }  // namespace

@@ -15,18 +15,18 @@
 
 #include "cloud/server.h"
 #include "cloud/session_cache.h"
+#include "session_fixture.h"
 #include "util/sharded.h"
 
 namespace medsen::cloud {
 namespace {
 
-const std::vector<std::uint8_t> kMacKey = {1, 2, 3, 4};
+using test_support::make_server;
+using test_support::open_session;
 
-CloudServer make_server(ServiceConfig service = {}) {
-  return CloudServer(AnalysisConfig{}, auth::CytoAlphabet{},
-                     auth::ParticleClassifier::train({}),
-                     auth::VerifierConfig{}, nullptr, service);
-}
+// The cache-only tests stamp envelopes with any key: the cache never
+// verifies MACs.
+const std::vector<std::uint8_t> kMacKey = {1, 2, 3, 4};
 
 util::MultiChannelSeries dip_series(std::size_t dips) {
   util::MultiChannelSeries series;
@@ -48,14 +48,13 @@ util::MultiChannelSeries dip_series(std::size_t dips) {
 }
 
 net::Envelope upload_of(const util::MultiChannelSeries& series,
-                        std::uint64_t session, std::uint64_t device,
-                        std::span<const std::uint8_t> key) {
+                        core::SessionCrypto& crypto) {
   net::SignalUploadPayload payload;
   payload.compressed = false;
   payload.sample_rate_hz = 450.0;
   payload.data = net::serialize_series(series);
-  return net::make_envelope(net::MessageType::kSignalUpload, session, device,
-                            payload.serialize(), key);
+  return test_support::command(crypto, net::MessageType::kSignalUpload,
+                               payload.serialize());
 }
 
 // --- Shard routing -------------------------------------------------------
@@ -101,14 +100,14 @@ TEST(ShardedService, DevicesOnDifferentShardsAreIsolated) {
   while (server.devices().shard_of(device_b) ==
          server.devices().shard_of(device_a))
     ++device_b;
-  const std::vector<std::uint8_t> key_a = {0xA0, 0xA1};
-  const std::vector<std::uint8_t> key_b = {0xB0, 0xB1};
-  server.provision_device(device_a, key_a);
-  server.provision_device(device_b, key_b);
+  auto crypto_a = open_session(server, device_a);
+  auto crypto_b = open_session(server, device_b);
+  const auto& key_a = crypto_a.session_mac_key();
+  const auto& key_b = crypto_b.session_mac_key();
 
   const auto series = dip_series(2);
-  const auto response_a = server.handle(upload_of(series, 1, device_a, key_a));
-  const auto response_b = server.handle(upload_of(series, 1, device_b, key_b));
+  const auto response_a = server.handle(upload_of(series, crypto_a));
+  const auto response_b = server.handle(upload_of(series, crypto_b));
   EXPECT_EQ(response_a.type, net::MessageType::kAnalysisResult);
   EXPECT_EQ(response_b.type, net::MessageType::kAnalysisResult);
   EXPECT_EQ(response_a.device_id, device_a);
@@ -120,9 +119,9 @@ TEST(ShardedService, DevicesOnDifferentShardsAreIsolated) {
 
   // Revoking one tenant must not disturb the other, same or other shard.
   EXPECT_TRUE(server.devices().revoke(device_a));
-  const auto after = server.handle(upload_of(series, 2, device_a, key_a));
+  const auto after = server.handle(upload_of(series, crypto_a));
   EXPECT_EQ(after.type, net::MessageType::kError);
-  const auto still_ok = server.handle(upload_of(series, 2, device_b, key_b));
+  const auto still_ok = server.handle(upload_of(series, crypto_b));
   EXPECT_EQ(still_ok.type, net::MessageType::kAnalysisResult);
 }
 
@@ -132,15 +131,15 @@ TEST(ShardedService, SessionIdsAreScopedPerDevice) {
   ServiceConfig service;
   service.shards = 4;
   auto server = make_server(service);
-  const std::vector<std::uint8_t> key_b = {0xB0, 0xB1};
-  server.provision_device(1, kMacKey);
-  server.provision_device(2, key_b);
+  auto crypto_1 = open_session(server, 1, 7);
+  auto crypto_2 = open_session(server, 2, 7);
 
-  const auto first = server.handle(upload_of(dip_series(2), 7, 1, kMacKey));
+  const auto first = server.handle(upload_of(dip_series(2), crypto_1));
   ASSERT_EQ(first.type, net::MessageType::kAnalysisResult);
-  // Device 2 reuses session 7 with different bytes; if the cache keyed on
-  // session alone this would be a conflict or a stale replay.
-  const auto second = server.handle(upload_of(dip_series(3), 7, 2, key_b));
+  // Device 2 reuses session 7 and counter 1 with different bytes; if the
+  // cache keyed on session alone this would be a conflict or a stale
+  // replay.
+  const auto second = server.handle(upload_of(dip_series(3), crypto_2));
   EXPECT_EQ(second.type, net::MessageType::kAnalysisResult);
   EXPECT_EQ(server.replays_served(), 0u);
 }
@@ -221,15 +220,16 @@ TEST(SessionCacheLru, EvictedSessionWithNewPayloadIsAFreshMiss) {
 
 // End-to-end: a tiny cache on a live server stays bounded, serves
 // byte-identical replays while cached, and re-processes (never serves
-// stale bytes for) an evicted session re-used with a different payload.
+// stale bytes for) an evicted (session, counter) slot re-used with a
+// different payload after a re-handshake.
 TEST(SessionCacheLru, ServerEndToEndEvictionNeverServesStaleResponse) {
   ServiceConfig service;
   service.shards = 1;
   service.session_cache_capacity = 2;
   auto server = make_server(service);
-  server.provision_device(1, kMacKey);
+  auto crypto = open_session(server, 1, 100);
 
-  const auto small = upload_of(dip_series(1), 100, 1, kMacKey);
+  const auto small = upload_of(dip_series(1), crypto);
   const auto first = server.handle(small);
   ASSERT_EQ(first.type, net::MessageType::kAnalysisResult);
   // Byte-identical replay while cached: served from cache, bit-equal.
@@ -237,16 +237,18 @@ TEST(SessionCacheLru, ServerEndToEndEvictionNeverServesStaleResponse) {
   EXPECT_EQ(replayed.payload, first.payload);
   EXPECT_EQ(server.replays_served(), 1u);
 
-  // Evict session 100 with two newer sessions.
-  (void)server.handle(upload_of(dip_series(1), 101, 1, kMacKey));
-  (void)server.handle(upload_of(dip_series(1), 102, 1, kMacKey));
+  // Evict the first exchange (and the handshake) with two newer ones.
+  (void)server.handle(upload_of(dip_series(1), crypto));
+  (void)server.handle(upload_of(dip_series(1), crypto));
   EXPECT_LE(server.session_cache().size(), 2u);
   EXPECT_GE(server.session_cache().evictions(), 1u);
 
-  // Session 100 returns with a *different* acquisition: must be analyzed
-  // fresh (3 peaks, not the cached 1-peak report) — not a conflict, not
-  // a stale replay.
-  const auto reused = server.handle(upload_of(dip_series(3), 100, 1, kMacKey));
+  // Session 100 is re-keyed and counter 1 returns with a *different*
+  // acquisition: must be analyzed fresh (3 peaks, not the cached 1-peak
+  // report) — not a conflict, not a stale replay.
+  ASSERT_TRUE(test_support::handshake(crypto, 100, server));
+  const auto reused = server.handle(upload_of(dip_series(3), crypto));
+  EXPECT_EQ(reused.counter, 1u);
   ASSERT_EQ(reused.type, net::MessageType::kAnalysisResult);
   const auto report = core::PeakReport::deserialize(reused.payload);
   EXPECT_EQ(report.reference_peak_count(), 3u);
@@ -255,7 +257,7 @@ TEST(SessionCacheLru, ServerEndToEndEvictionNeverServesStaleResponse) {
 
 // --- Many-thread hammer (the TSan target) --------------------------------
 
-// Concurrent provision / revoke / upload / stats / snapshot traffic over
+// Concurrent enroll / revoke / upload / stats / snapshot traffic over
 // a sharded server. Assertions are deliberately loose — the point is
 // that TSan observes the full mixed workload with no data races and the
 // aggregate counters stay coherent.
@@ -266,31 +268,34 @@ TEST(ShardedService, ManyThreadHammer) {
   auto server = make_server(service);
   const auto series = dip_series(1);
 
+  // SessionCrypto is single-threaded state, so each uploader owns two
+  // of the stable devices' sessions.
   constexpr std::uint64_t kStableDevices = 4;
+  std::vector<core::SessionCrypto> cryptos;
   for (std::uint64_t device = 0; device < kStableDevices; ++device)
-    server.provision_device(device, kMacKey);
+    cryptos.push_back(open_session(server, device, 1000 + device));
+  const auto handshakes = server.stats().requests_processed;
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> uploads_ok{0};
 
   std::vector<std::thread> threads;
-  // Uploaders: each loops over the stable devices with unique sessions.
+  // Uploaders: each alternates between its own two devices.
   for (unsigned worker = 0; worker < 2; ++worker) {
     threads.emplace_back([&, worker] {
       for (std::uint64_t i = 0; i < 40; ++i) {
-        const std::uint64_t device = i % kStableDevices;
-        const auto response = server.handle(upload_of(
-            series, (worker + 1) * 1000 + i, device, kMacKey));
+        auto& crypto = cryptos[2 * worker + i % 2];
+        const auto response = server.handle(upload_of(series, crypto));
         if (response.type == net::MessageType::kAnalysisResult)
           uploads_ok.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
-  // Churner: provisions and revokes a disjoint device range.
+  // Churner: enrolls and revokes a disjoint device range.
   threads.emplace_back([&] {
     for (std::uint64_t i = 0; i < 200; ++i) {
       const std::uint64_t device = 100 + (i % 16);
-      server.provision_device(device, kMacKey);
+      server.enroll_device(device);
       (void)server.devices().revoke(device);
     }
   });
@@ -311,7 +316,8 @@ TEST(ShardedService, ManyThreadHammer) {
 
   EXPECT_EQ(uploads_ok.load(), 80u);
   const auto stats = server.stats();
-  EXPECT_EQ(stats.requests_processed + stats.replays_served, 80u);
+  EXPECT_EQ(stats.requests_processed + stats.replays_served,
+            handshakes + 80u);
   // The stable devices survived the churn.
   for (std::uint64_t device = 0; device < kStableDevices; ++device)
     EXPECT_TRUE(server.devices().lookup(device).has_value());

@@ -12,11 +12,10 @@
 #include "crypto/chacha20.h"
 #include "net/frame.h"
 #include "net/messages.h"
+#include "session_fixture.h"
 
 namespace medsen {
 namespace {
-
-const std::vector<std::uint8_t> kMacKey = {9, 9, 9};
 
 TEST(FailureInjection, RandomBytesNeverDecodeAsFrame) {
   crypto::ChaChaRng rng(404);
@@ -68,12 +67,12 @@ TEST(FailureInjection, GarbageUploadPayloadRejected) {
   auto server = cloud::CloudServer(cloud::AnalysisConfig{},
                                    auth::CytoAlphabet{},
                                    auth::ParticleClassifier::train({}));
-  server.provision_device(1, kMacKey);
+  auto session = test_support::open_session(server, 1);
   crypto::ChaChaRng rng(407);
   std::vector<std::uint8_t> junk(300);
   rng.fill(junk);
-  const auto envelope = net::make_envelope(net::MessageType::kSignalUpload,
-                                           1, 1, std::move(junk), kMacKey);
+  const auto envelope = test_support::command(
+      session, net::MessageType::kSignalUpload, std::move(junk));
   // MAC passes (attacker owns the junk) but the decoder throw must be
   // converted to a malformed error at the service boundary, never escape.
   const auto response = server.handle(envelope);
@@ -86,15 +85,15 @@ TEST(FailureInjection, CompressedFlagOnUncompressedDataRejected) {
   auto server = cloud::CloudServer(cloud::AnalysisConfig{},
                                    auth::CytoAlphabet{},
                                    auth::ParticleClassifier::train({}));
-  server.provision_device(1, kMacKey);
+  auto session = test_support::open_session(server, 1);
   util::MultiChannelSeries series;
   series.carrier_frequencies_hz = {5.0e5};
   series.channels.emplace_back(450.0, std::vector<double>(100, 1.0));
   net::SignalUploadPayload payload;
   payload.compressed = true;  // lie: data is raw
   payload.data = net::serialize_series(series);
-  const auto envelope = net::make_envelope(net::MessageType::kSignalUpload,
-                                           1, 1, payload.serialize(), kMacKey);
+  const auto envelope = test_support::command(
+      session, net::MessageType::kSignalUpload, payload.serialize());
   const auto response = server.handle(envelope);
   ASSERT_EQ(response.type, net::MessageType::kError);
   EXPECT_EQ(net::ErrorPayload::deserialize(response.payload).code,

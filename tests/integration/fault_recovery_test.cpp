@@ -17,12 +17,11 @@
 #include "cloud/server.h"
 #include "core/controller.h"
 #include "phone/relay.h"
+#include "session_fixture.h"
 #include "sim/acquisition.h"
 
 namespace medsen {
 namespace {
-
-const std::vector<std::uint8_t> kMacKey = {0x5E, 0x55, 0x10};
 
 using FaultSetup = std::function<void(sim::FaultConfig&)>;
 
@@ -133,7 +132,7 @@ phone::SessionOutcome run_session(const FaultSetup& setup,
   auto server = cloud::CloudServer(analysis, auth::CytoAlphabet{},
                                    auth::ParticleClassifier::train({}));
   phone::PhoneRelay relay;
-  server.provision_device(relay.config().device_id, kMacKey);
+  test_support::arm(server, controller, relay.config().device_id);
 
   sim::SampleSpec sample;
   sample.components = {{sim::ParticleType::kBead780, 300.0}};
@@ -149,8 +148,7 @@ phone::SessionOutcome run_session(const FaultSetup& setup,
       };
 
   return relay.run_diagnostic_session(controller, opts.duration_s, acquire,
-                                      /*session_base_id=*/100, server,
-                                      kMacKey);
+                                      /*session_base_id=*/100, server);
 }
 
 void expect_equal_outcomes(const phone::SessionOutcome& a,
@@ -289,7 +287,7 @@ TEST(FaultRecovery, StuckOnMuxWalksIntoQuarantine) {
   auto server = cloud::CloudServer(analysis, auth::CytoAlphabet{},
                                    auth::ParticleClassifier::train({}));
   phone::PhoneRelay relay;
-  server.provision_device(relay.config().device_id, kMacKey);
+  test_support::arm(server, controller, relay.config().device_id);
   sim::SampleSpec sample;
   sample.components = {{sim::ParticleType::kBead780, 300.0}};
 
@@ -303,7 +301,7 @@ TEST(FaultRecovery, StuckOnMuxWalksIntoQuarantine) {
             .signals;
       };
   const auto outcome = relay.run_diagnostic_session(
-      controller, 30.0, acquire, 500, server, kMacKey);
+      controller, 30.0, acquire, 500, server);
   EXPECT_GE(outcome.quality_rejections, 2u);
   EXPECT_NE(controller.health().quarantined(), 0u);
   // The stuck electrode itself must be among the quarantined set.

@@ -1,9 +1,9 @@
-// The allow_legacy_plane=false posture end to end: with the legacy
-// static-key plane disabled, counter-0 command traffic — even correctly
-// MAC'd under the device's provisioned key — must be refused with
-// kAuthRequired, while the handshake itself (the one message that
-// legitimately rides counter 0) and all session-plane traffic work
-// unchanged through the production PhoneRelay path.
+// The retired static-key plane stays off, end to end: counter-0 command
+// traffic — even correctly MAC'd under the device's long-term key — is
+// refused with kAuthRequired by a default-configured server, while the
+// handshake itself (the one message that legitimately rides counter 0)
+// and all session-plane traffic work through the production PhoneRelay
+// path. The retired ServiceConfig knob cannot switch the plane back on.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "cloud/server.h"
 #include "core/controller.h"
 #include "phone/relay.h"
+#include "session_fixture.h"
 
 namespace medsen {
 namespace {
@@ -42,21 +43,15 @@ std::vector<std::uint8_t> upload_payload(
   return upload.serialize();
 }
 
-cloud::CloudServer make_locked_server() {
-  cloud::ServiceConfig service;
-  service.quality_gate = false;
-  service.allow_legacy_plane = false;
-  return cloud::CloudServer(cloud::AnalysisConfig{}, auth::CytoAlphabet{},
-                            auth::ParticleClassifier::train({}),
-                            auth::VerifierConfig{}, nullptr, service);
-}
+using test_support::make_server;
 
-// A correctly MAC'd counter-0 command on the provisioned static key is
-// refused: possession of the long-term key alone no longer moves data.
+// A correctly MAC'd counter-0 command on the device's long-term key is
+// refused by a default-configured server: possession of the long-term
+// key alone never moves data.
 TEST(LegacyPlaneOff, CounterZeroCommandRefused) {
-  auto server = make_locked_server();
-  const std::vector<std::uint8_t> mac_key = {0x13, 0x37};
-  server.provision_device(7, mac_key);
+  auto server = make_server();
+  test_support::enroll(server, 7);
+  const auto mac_key = test_support::device_key(7);
 
   const auto payload = upload_payload(one_cell_series());
   const auto upload = net::make_envelope(net::MessageType::kSignalUpload,
@@ -66,6 +61,8 @@ TEST(LegacyPlaneOff, CounterZeroCommandRefused) {
   ASSERT_EQ(response.type, net::MessageType::kError);
   EXPECT_EQ(net::ErrorPayload::deserialize(response.payload).code,
             net::ErrorCode::kAuthRequired);
+  // Signed with the long-term key: the device can trust the demand.
+  EXPECT_TRUE(net::verify_envelope(response, mac_key));
 
   // The auth pass is a command too — same refusal.
   net::AuthPassPayload pass;
@@ -84,10 +81,11 @@ TEST(LegacyPlaneOff, CounterZeroCommandRefused) {
 
 // The production path still works: handshake through PhoneRelay, then
 // session-plane commands with advancing counters — while the very same
-// legacy envelope keeps bouncing off the closed plane.
+// counter-0 command keeps bouncing off the closed plane.
 TEST(LegacyPlaneOff, SessionTrafficSucceedsEndToEnd) {
-  auto server = make_locked_server();
-  const std::vector<std::uint8_t> mac_key = {0x44, 0x55, 0x66};
+  cloud::ServiceConfig service;
+  service.quality_gate = false;
+  auto server = make_server(service);
 
   const auto design = sim::standard_design(9);
   core::KeyParams params;
@@ -95,52 +93,43 @@ TEST(LegacyPlaneOff, SessionTrafficSucceedsEndToEnd) {
   core::Controller controller(params, design,
                               core::DiagnosticProfile::cd4_staging(), 11);
   phone::PhoneRelay relay;
-  server.provision_device(relay.config().device_id, mac_key);
-  controller.enable_session_crypto(relay.config().device_id, mac_key);
+  auto& crypto =
+      test_support::arm(server, controller, relay.config().device_id);
 
   // The handshake is the one exchange that legitimately rides counter 0.
   ASSERT_TRUE(relay.establish_session(controller, 500, server));
 
   const auto series = one_cell_series();
-  const auto first = relay.relay_analysis(series, 0, server, {},
-                                          controller.session_crypto());
+  const auto first = relay.relay_analysis(series, server, crypto);
   ASSERT_EQ(first.type, net::MessageType::kAnalysisResult);
   EXPECT_EQ(first.counter, 1u);
-  const auto second = relay.relay_analysis(series, 0, server, {},
-                                           controller.session_crypto());
+  const auto second = relay.relay_analysis(series, server, crypto);
   ASSERT_EQ(second.type, net::MessageType::kAnalysisResult);
   EXPECT_EQ(second.counter, 2u);
 
-  // A live session does not reopen the legacy plane for the device.
+  // A live session does not reopen the static-key plane for the device.
   const auto legacy = server.handle(net::make_envelope(
       net::MessageType::kSignalUpload, /*session=*/9,
-      relay.config().device_id, upload_payload(series), mac_key));
+      relay.config().device_id, upload_payload(series),
+      crypto.device_key()));
   ASSERT_EQ(legacy.type, net::MessageType::kError);
   EXPECT_EQ(net::ErrorPayload::deserialize(legacy.payload).code,
             net::ErrorCode::kAuthRequired);
 
   // And the refusal did not disturb the negotiated session.
-  const auto third = relay.relay_analysis(series, 0, server, {},
-                                          controller.session_crypto());
+  const auto third = relay.relay_analysis(series, server, crypto);
   ASSERT_EQ(third.type, net::MessageType::kAnalysisResult);
   EXPECT_EQ(third.counter, 3u);
 }
 
-// Back-compat guard: the default ServiceConfig keeps the legacy plane
-// open so mixed fleets can upgrade incrementally.
-TEST(LegacyPlaneOff, DefaultConfigStillServesLegacyTraffic) {
+// The knob survives only as a retired field: it defaults to off, and
+// asking for the static-key plane fails loudly at construction instead
+// of silently serving counter-0 commands.
+TEST(LegacyPlaneOff, RetiredKnobCannotReopenThePlane) {
+  EXPECT_FALSE(cloud::ServiceConfig{}.allow_legacy_plane);
   cloud::ServiceConfig service;
-  service.quality_gate = false;
-  auto server = cloud::CloudServer(cloud::AnalysisConfig{},
-                                   auth::CytoAlphabet{},
-                                   auth::ParticleClassifier::train({}),
-                                   auth::VerifierConfig{}, nullptr, service);
-  const std::vector<std::uint8_t> mac_key = {0x01};
-  server.provision_device(3, mac_key);
-  const auto response = server.handle(net::make_envelope(
-      net::MessageType::kSignalUpload, /*session=*/1, /*device=*/3,
-      upload_payload(one_cell_series()), mac_key));
-  EXPECT_EQ(response.type, net::MessageType::kAnalysisResult);
+  service.allow_legacy_plane = true;
+  EXPECT_THROW((void)make_server(service), std::invalid_argument);
 }
 
 }  // namespace

@@ -12,11 +12,10 @@
 #include "core/controller.h"
 #include "core/encryptor.h"
 #include "phone/relay.h"
+#include "session_fixture.h"
 
 namespace medsen {
 namespace {
-
-const std::vector<std::uint8_t> kMacKey = {0xAA, 0xBB, 0xCC};
 
 struct Testbed {
   sim::ElectrodeArrayDesign design = sim::standard_design(9);
@@ -46,7 +45,7 @@ TEST(Pipeline, EncryptedDiagnosisEndToEnd) {
                                    auth::CytoAlphabet{},
                                    auth::ParticleClassifier::train({}));
   phone::PhoneRelay relay;
-  server.provision_device(relay.config().device_id, kMacKey);
+  auto crypto = test_support::open_session(server, relay.config().device_id);
 
   const double duration = 60.0;
   (void)controller.begin_session(duration);
@@ -56,9 +55,8 @@ TEST(Pipeline, EncryptedDiagnosisEndToEnd) {
   const auto enc = encryptor.acquire(
       sample, controller.session_key_schedule_for_testing(), duration, 77);
 
-  const auto response =
-      relay.relay_analysis(enc.signals, 1, server, kMacKey);
-  ASSERT_TRUE(net::verify_envelope(response, kMacKey));
+  const auto response = relay.relay_analysis(enc.signals, server, crypto);
+  ASSERT_TRUE(net::verify_envelope(response, crypto.session_mac_key()));
   const auto report = core::PeakReport::deserialize(response.payload);
 
   const core::Diagnosis diagnosis = controller.conclude(report);
@@ -108,10 +106,10 @@ TEST(Pipeline, AuthenticationPassIdentifiesUser) {
       sample, controller.session_key_schedule_for_testing(), duration, 9);
 
   phone::PhoneRelay relay;
-  server.provision_device(relay.config().device_id, kMacKey);
+  auto crypto = test_support::open_session(server, relay.config().device_id);
   const double volume = controller.session_volume_ul();
   const auto response =
-      relay.relay_auth(enc.signals, 2, volume, server, kMacKey, duration);
+      relay.relay_auth(enc.signals, volume, server, crypto, duration);
   const auto decision =
       net::AuthDecisionPayload::deserialize(response.payload);
   EXPECT_TRUE(decision.authenticated);
@@ -139,10 +137,9 @@ TEST(Pipeline, WrongBeadMixtureRejected) {
       blank, controller.session_key_schedule_for_testing(), 60.0, 10);
 
   phone::PhoneRelay relay;
-  server.provision_device(relay.config().device_id, kMacKey);
+  auto crypto = test_support::open_session(server, relay.config().device_id);
   const auto response = relay.relay_auth(
-      enc.signals, 3, controller.session_volume_ul(), server, kMacKey,
-      60.0);
+      enc.signals, controller.session_volume_ul(), server, crypto, 60.0);
   const auto decision =
       net::AuthDecisionPayload::deserialize(response.payload);
   EXPECT_FALSE(decision.authenticated);

@@ -1,55 +1,70 @@
-// Cloud restart survivability: enrollments and stored records written to
-// disk by one server instance must be fully usable by a fresh instance —
-// including authenticating a real sensor pass against the reloaded
-// database.
+// Cloud restart survivability: state a server journals through its
+// DurableState must be fully usable by a fresh instance recovered from
+// the same directory — including authenticating a real sensor pass
+// against the recovered database.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <string>
 
-#include "cloud/persistence.h"
+#include "cloud/durability.h"
 #include "cloud/server.h"
-#include "util/fileio.h"
 #include "core/controller.h"
 #include "core/encryptor.h"
 #include "phone/relay.h"
+#include "session_fixture.h"
+#include "util/fileio.h"
 
 namespace medsen {
 namespace {
 
-TEST(Restart, AuthenticationSurvivesServerRestart) {
-  const std::string enroll_path =
-      std::string(::testing::TempDir()) + "/medsen_restart_enroll.bin";
-  const std::string records_path =
-      std::string(::testing::TempDir()) + "/medsen_restart_records.bin";
+/// A state directory emptied of any earlier run's files.
+std::string fresh_dir(const char* name) {
+  const auto dir =
+      std::string(::testing::TempDir()) + "/medsen_restart_" + name;
+  for (const char* file : {"journal.wal", "records.snap", "enroll.snap",
+                           "registry.snap", "sessions.snap", "seal.epoch"})
+    util::remove_file(dir + "/" + file);
+  return dir;
+}
 
+cloud::DurabilityConfig config_for(const std::string& dir) {
+  cloud::DurabilityConfig config;
+  config.dir = dir;
+  return config;
+}
+
+/// One server process lifetime: a CloudServer recovered from (and from
+/// then on journaling to) the state directory. Members destruct in
+/// reverse order, so the server goes before the journal it points at.
+struct Lifetime {
+  cloud::DurableState durable;
+  cloud::CloudServer server;
+
+  explicit Lifetime(const std::string& dir)
+      : durable(config_for(dir)),
+        server(cloud::AnalysisConfig{}, auth::CytoAlphabet{},
+               auth::ParticleClassifier::train({})) {
+    server.attach_durability(durable);
+  }
+};
+
+TEST(Restart, AuthenticationSurvivesServerRestart) {
+  const auto dir = fresh_dir("auth");
   auth::CytoAlphabet alphabet;
   auth::CytoCode code;
   code.levels = {2, 1};
 
-  // --- First server lifetime: enroll and persist.
+  // --- First server lifetime: enroll and store, both journaled.
   {
-    auto server = cloud::CloudServer(cloud::AnalysisConfig{}, alphabet,
-                                     auth::ParticleClassifier::train({}));
-    server.enrollments().enroll("alice", code);
-    server.store_result(code, {1, {0xAA, 0xBB}});
-    cloud::save_enrollments(server.enrollments(), enroll_path);
-    cloud::save_records(server.records(), records_path);
+    Lifetime first(dir);
+    first.server.enroll_user("alice", code);
+    first.server.store_result(code, {1, {0xAA, 0xBB}});
   }
 
-  // --- Second lifetime: fresh process state, reload from disk.
-  auto server = cloud::CloudServer(cloud::AnalysisConfig{}, alphabet,
-                                   auth::ParticleClassifier::train({}));
-  {
-    const auto db = cloud::load_enrollments(enroll_path);
-    for (const auto& record : db.records())
-      server.enrollments().enroll(record.user_id, record.code);
-    const auto store = cloud::load_records(records_path);
-    store.visit([&](const std::string& key,
-                    const std::vector<cloud::StoredRecord>& records) {
-      server.records().restore(key, records);
-    });
-  }
+  // --- Second lifetime: fresh process state, recovered from disk.
+  Lifetime second(dir);
+  auto& server = second.server;
   EXPECT_EQ(server.enrollments().lookup(code), "alice");
   EXPECT_EQ(server.records().latest(code)->session_id, 1u);
 
@@ -75,37 +90,28 @@ TEST(Restart, AuthenticationSurvivesServerRestart) {
       sample, controller.session_key_schedule_for_testing(), duration, 7);
 
   phone::PhoneRelay relay;
-  const std::vector<std::uint8_t> mac_key = {0x33};
-  server.provision_device(relay.config().device_id, mac_key);
-  const auto response =
-      relay.relay_auth(enc.signals, 5, controller.session_volume_ul(),
-                       server, mac_key, duration);
+  auto crypto = test_support::open_session(server, relay.config().device_id);
+  const auto response = relay.relay_auth(
+      enc.signals, controller.session_volume_ul(), server, crypto, duration);
   const auto decision =
       net::AuthDecisionPayload::deserialize(response.payload);
   EXPECT_TRUE(decision.authenticated);
   EXPECT_EQ(decision.user_id, "alice");
-
-  std::remove(enroll_path.c_str());
-  std::remove(records_path.c_str());
 }
 
-// The keying plane across a restart: the device registry (legacy keys,
-// master epochs, enrollment/revocation) persists and reloads, but
-// negotiated sessions deliberately do NOT — the restarted server answers
-// in-session traffic with kAuthRequired and the device re-handshakes,
-// with counter state starting fresh under the new session key.
+// The keying plane across a restart: the device registry (master epochs,
+// enrollment/revocation) is journaled and recovers, but negotiated
+// sessions deliberately do NOT — the restarted server answers in-session
+// traffic with kAuthRequired and the device re-handshakes, with counter
+// state starting fresh under the new session key.
 TEST(Restart, SessionsDieButRegistrySurvivesRestart) {
-  const std::string registry_path =
-      std::string(::testing::TempDir()) + "/medsen_restart_registry.bin";
-
-  const std::vector<std::uint8_t> mac_key = {0x44, 0x55};
+  const auto dir = fresh_dir("registry");
   const auto design = sim::standard_design(9);
   core::KeyParams params;
   params.num_electrodes = 9;
   core::Controller controller(params, design,
                               core::DiagnosticProfile::cd4_staging(), 3);
   phone::PhoneRelay relay;
-  controller.enable_session_crypto(relay.config().device_id, mac_key);
 
   util::MultiChannelSeries series;
   series.carrier_frequencies_hz = {5.0e5};
@@ -119,92 +125,85 @@ TEST(Restart, SessionsDieButRegistrySurvivesRestart) {
   }
   series.channels.push_back(std::move(ts));
 
-  // --- First lifetime: provision, handshake, run session commands,
-  // persist the registry (sessions are not persisted by design).
+  // --- First lifetime: enroll, handshake, run session commands (the
+  // registry is journaled; sessions are not persisted by design).
   {
-    auto server = cloud::CloudServer(cloud::AnalysisConfig{},
-                                     auth::CytoAlphabet{},
-                                     auth::ParticleClassifier::train({}));
-    server.provision_device(relay.config().device_id, mac_key);
-    server.rotate_master_key(1, std::vector<std::uint8_t>(16, 0x5a));
+    Lifetime first(dir);
+    auto& server = first.server;
+    test_support::arm(server, controller, relay.config().device_id);
     server.enroll_device(99);
 
     ASSERT_TRUE(relay.establish_session(controller, 100, server));
-    const auto response = relay.relay_analysis(series, 0, server, {},
-                                               controller.session_crypto());
+    const auto response =
+        relay.relay_analysis(series, server, *controller.session_crypto());
     ASSERT_EQ(response.type, net::MessageType::kAnalysisResult);
     EXPECT_EQ(response.counter, 1u);
-
-    cloud::save_registry(server.devices(), registry_path);
   }
 
-  // --- Second lifetime: reload the registry into a fresh server.
-  auto server = cloud::CloudServer(cloud::AnalysisConfig{},
-                                   auth::CytoAlphabet{},
-                                   auth::ParticleClassifier::train({}));
-  cloud::load_registry(server.devices(), registry_path);
-  EXPECT_EQ(server.devices().current_epoch(), 1u);
+  // --- Second lifetime: recover the registry into a fresh server.
+  Lifetime second(dir);
+  auto& server = second.server;
+  EXPECT_EQ(server.devices().current_epoch(), test_support::kEpoch);
   EXPECT_TRUE(server.devices().lookup(99).has_value());
 
   // The old session died with the process: its counters resume mid-way
   // and the server, holding no session, demands a fresh handshake.
-  auto* crypto = controller.session_crypto();
-  ASSERT_TRUE(crypto->active());
-  const auto stale = relay.relay_analysis(series, 0, server, {}, crypto);
+  auto& crypto = *controller.session_crypto();
+  ASSERT_TRUE(crypto.active());
+  const auto stale = relay.relay_analysis(series, server, crypto);
   ASSERT_EQ(stale.type, net::MessageType::kError);
   EXPECT_EQ(net::ErrorPayload::deserialize(stale.payload).code,
             net::ErrorCode::kAuthRequired);
 
-  // Re-handshake against the reloaded registry; counters restart at 1.
-  crypto->invalidate();
+  // Re-handshake against the recovered registry; counters restart at 1.
   ASSERT_TRUE(relay.establish_session(controller, 101, server));
-  const auto fresh = relay.relay_analysis(series, 0, server, {}, crypto);
+  const auto fresh = relay.relay_analysis(series, server, crypto);
   ASSERT_EQ(fresh.type, net::MessageType::kAnalysisResult);
   EXPECT_EQ(fresh.counter, 1u);
-  EXPECT_TRUE(net::verify_envelope(fresh, crypto->session_mac_key()));
-
-  std::remove(registry_path.c_str());
+  EXPECT_TRUE(net::verify_envelope(fresh, crypto.session_mac_key()));
 }
 
-// A crash between opening the output file and finishing the write must
-// not destroy the previous good database. save_enrollments/save_records
-// write a sibling .tmp and rename it into place, so the worst a crash
-// can leave behind is a truncated .tmp next to an intact live file.
+// A crash between writing a compaction snapshot and renaming it into
+// place must not destroy the previous good snapshot. Snapshots go
+// through write_file_atomic (a sibling .tmp, then rename), so the worst
+// a crash can leave behind is a truncated .tmp next to an intact live
+// file — and the next boot discards the .tmp.
 TEST(Restart, TornWriteLeavesPreviousDatabaseLoadable) {
-  const std::string path =
-      std::string(::testing::TempDir()) + "/medsen_torn_enroll.bin";
+  const auto dir = fresh_dir("torn");
+  auth::CytoCode bob{{1, 2}};
+  auth::CytoCode carol{{2, 2}};
 
-  auth::CytoAlphabet alphabet;
-  auth::CytoCode code;
-  code.levels = {1, 2};
-  auth::EnrollmentDatabase db(alphabet);
-  db.enroll("bob", code);
-  cloud::save_enrollments(db, path);
-
-  // Simulate a crash mid-save: a later save got as far as writing a
-  // truncated temp file and died before the rename.
+  std::string snapshot;
   {
-    const auto good = util::read_file(path);
-    std::vector<std::uint8_t> torn(good.begin(),
-                                   good.begin() + good.size() / 2);
-    util::write_file(path + ".tmp", torn);
+    Lifetime first(dir);
+    first.server.enroll_user("bob", bob);
+    first.durable.compact(first.server);
+    snapshot = first.durable.enroll_snapshot_path();
   }
 
-  // The live file is untouched and still loads.
-  const auto reloaded = cloud::load_enrollments(path);
-  EXPECT_EQ(reloaded.lookup(code), "bob");
-  // The torn temp file itself is rejected by the sealed-format check.
-  EXPECT_THROW((void)cloud::load_enrollments(path + ".tmp"),
-               std::exception);
+  // Simulate a crash mid-compaction: a later snapshot write got as far
+  // as a truncated temp file and died before the rename.
+  {
+    const auto good = util::read_file(snapshot);
+    std::vector<std::uint8_t> torn(good.begin(),
+                                   good.begin() + good.size() / 2);
+    util::write_file(snapshot + ".tmp", torn);
+  }
 
-  // A subsequent successful save replaces the target and reuses the
-  // temp path, leaving no stale .tmp behind.
-  db.enroll("carol", auth::CytoCode{{2, 2}});
-  cloud::save_enrollments(db, path);
-  EXPECT_FALSE(util::file_exists(path + ".tmp"));
-  EXPECT_EQ(cloud::load_enrollments(path).lookup(code), "bob");
-
-  std::remove(path.c_str());
+  // The live snapshot is untouched and still recovers; the torn temp
+  // file is dropped at boot. A later compaction replaces the snapshot
+  // and leaves no stale .tmp behind.
+  {
+    Lifetime second(dir);
+    EXPECT_EQ(second.server.enrollments().lookup(bob), "bob");
+    EXPECT_FALSE(util::file_exists(snapshot + ".tmp"));
+    second.server.enroll_user("carol", carol);
+    second.durable.compact(second.server);
+    EXPECT_FALSE(util::file_exists(snapshot + ".tmp"));
+  }
+  Lifetime third(dir);
+  EXPECT_EQ(third.server.enrollments().lookup(bob), "bob");
+  EXPECT_EQ(third.server.enrollments().lookup(carol), "carol");
 }
 
 }  // namespace

@@ -13,15 +13,21 @@
 #include "core/encryptor.h"
 #include "net/channel.h"
 #include "net/frame.h"
+#include "session_fixture.h"
 
 namespace medsen {
 namespace {
 
-const std::vector<std::uint8_t> kMacKey = {0x01, 0x02};
-
 TEST(Threaded, FullProtocolOverMessageQueues) {
   net::DuplexChannel sensor_phone;  // a = sensor, b = phone
   net::DuplexChannel phone_cloud;   // a = phone, b = cloud
+
+  // The device enrolls and negotiates its session before the threads
+  // start; the queues then carry one session-plane command.
+  auto server = cloud::CloudServer(cloud::AnalysisConfig{},
+                                   auth::CytoAlphabet{},
+                                   auth::ParticleClassifier::train({}));
+  auto crypto = test_support::open_session(server, 1, 7);
 
   // --- Sensor thread: acquire, send upload, await result, decode.
   core::KeyParams key_params;
@@ -56,15 +62,15 @@ TEST(Threaded, FullProtocolOverMessageQueues) {
     net::SignalUploadPayload payload;
     payload.sample_rate_hz = 450.0;
     payload.data = net::serialize_series(enc.signals);
-    const auto envelope = net::make_envelope(
-        net::MessageType::kSignalUpload, 7, 1, payload.serialize(), kMacKey);
+    const auto envelope = test_support::command(
+        crypto, net::MessageType::kSignalUpload, payload.serialize());
     sensor_phone.a_to_b.send(net::frame_encode(envelope.serialize()));
 
     const auto frame = sensor_phone.b_to_a.receive();
     ASSERT_TRUE(frame.has_value());
     const auto response =
         net::Envelope::deserialize(net::frame_decode(*frame));
-    ASSERT_TRUE(net::verify_envelope(response, kMacKey));
+    ASSERT_TRUE(net::verify_envelope(response, crypto.session_mac_key()));
     const auto report = core::PeakReport::deserialize(response.payload);
     decoded_count = controller.decrypt(report).estimated_count;
   });
@@ -81,10 +87,6 @@ TEST(Threaded, FullProtocolOverMessageQueues) {
 
   // --- Cloud thread: analyze and respond.
   std::thread cloud_thread([&] {
-    auto server = cloud::CloudServer(cloud::AnalysisConfig{},
-                                     auth::CytoAlphabet{},
-                                     auth::ParticleClassifier::train({}));
-    server.provision_device(1, kMacKey);
     const auto frame = phone_cloud.a_to_b.receive();
     ASSERT_TRUE(frame.has_value());
     const auto request =
@@ -108,14 +110,14 @@ TEST(Threaded, PhoneCannotForgeWithoutKey) {
   auto server = cloud::CloudServer(cloud::AnalysisConfig{},
                                    auth::CytoAlphabet{},
                                    auth::ParticleClassifier::train({}));
-  server.provision_device(1, kMacKey);
+  auto crypto = test_support::open_session(server, 1);
   util::MultiChannelSeries series;
   series.carrier_frequencies_hz = {5.0e5};
   series.channels.emplace_back(450.0, std::vector<double>(1000, 1.0));
   net::SignalUploadPayload payload;
   payload.data = net::serialize_series(series);
-  auto envelope = net::make_envelope(net::MessageType::kSignalUpload, 1, 1,
-                                     payload.serialize(), kMacKey);
+  auto envelope = test_support::command(
+      crypto, net::MessageType::kSignalUpload, payload.serialize());
   envelope.payload[envelope.payload.size() / 2] ^= 0x01;  // phone tampers
   const auto response = server.handle(envelope);
   ASSERT_EQ(response.type, net::MessageType::kError);

@@ -4,10 +4,15 @@
 
 #include <cmath>
 
+#include "session_fixture.h"
+
 namespace medsen::phone {
 namespace {
 
-const std::vector<std::uint8_t> kMacKey = {5, 6, 7, 8};
+using test_support::make_server;
+using test_support::open_session;
+
+const std::uint64_t kDevice = RelayConfig{}.device_id;
 
 util::MultiChannelSeries dip_series(std::size_t dips, std::size_t n = 9000) {
   util::MultiChannelSeries series;
@@ -30,17 +35,12 @@ util::MultiChannelSeries dip_series(std::size_t dips, std::size_t n = 9000) {
   return series;
 }
 
-cloud::CloudServer make_server() {
-  return cloud::CloudServer(cloud::AnalysisConfig{}, auth::CytoAlphabet{},
-                            auth::ParticleClassifier::train({}));
-}
-
 TEST(PhoneRelay, RelaysAndReturnsReport) {
   auto server = make_server();
-  server.provision_device(RelayConfig{}.device_id, kMacKey);
+  auto crypto = open_session(server, kDevice);
   PhoneRelay relay;
   const auto response =
-      relay.relay_analysis(dip_series(3), 11, server, kMacKey);
+      relay.relay_analysis(dip_series(3), server, crypto);
   EXPECT_EQ(response.type, net::MessageType::kAnalysisResult);
   const auto report = core::PeakReport::deserialize(response.payload);
   EXPECT_EQ(report.reference_peak_count(), 3u);
@@ -48,9 +48,9 @@ TEST(PhoneRelay, RelaysAndReturnsReport) {
 
 TEST(PhoneRelay, TimingBreakdownPopulated) {
   auto server = make_server();
-  server.provision_device(RelayConfig{}.device_id, kMacKey);
+  auto crypto = open_session(server, kDevice);
   PhoneRelay relay;
-  (void)relay.relay_analysis(dip_series(2), 1, server, kMacKey);
+  (void)relay.relay_analysis(dip_series(2), server, crypto);
   const RelayTiming& timing = relay.timing();
   EXPECT_GT(timing.usb_in_s, 0.0);
   EXPECT_GT(timing.uplink_s, 0.0);
@@ -64,34 +64,34 @@ TEST(PhoneRelay, TimingBreakdownPopulated) {
 
 TEST(PhoneRelay, CompressionShrinksUpload) {
   auto server = make_server();
-  server.provision_device(RelayConfig{}.device_id, kMacKey);
+  auto crypto = open_session(server, kDevice);
   RelayConfig with;
   with.compress_uploads = true;
   RelayConfig without;
   without.compress_uploads = false;
   PhoneRelay compressed(with), raw(without);
   const auto series = dip_series(2);
-  (void)compressed.relay_analysis(series, 1, server, kMacKey);
-  (void)raw.relay_analysis(series, 2, server, kMacKey);
+  (void)compressed.relay_analysis(series, server, crypto);
+  (void)raw.relay_analysis(series, server, crypto);
   EXPECT_LT(compressed.last_upload_bytes(), raw.last_upload_bytes() / 2);
 }
 
 TEST(PhoneRelay, SmallUploadSkipsCompression) {
   auto server = make_server();
-  server.provision_device(RelayConfig{}.device_id, kMacKey);
+  auto crypto = open_session(server, kDevice);
   PhoneRelay relay;
-  (void)relay.relay_analysis(dip_series(0, 100), 1, server, kMacKey);
+  (void)relay.relay_analysis(dip_series(0, 100), server, crypto);
   EXPECT_DOUBLE_EQ(relay.timing().compression_s, 0.0);
 }
 
 TEST(PhoneRelay, ProgressEventsEmitted) {
   auto server = make_server();
-  server.provision_device(RelayConfig{}.device_id, kMacKey);
+  auto crypto = open_session(server, kDevice);
   PhoneRelay relay;
   std::vector<std::string> events;
   relay.set_progress_callback(
       [&](const std::string& msg) { events.push_back(msg); });
-  (void)relay.relay_analysis(dip_series(1), 1, server, kMacKey);
+  (void)relay.relay_analysis(dip_series(1), server, crypto);
   EXPECT_GE(events.size(), 3u);
   EXPECT_EQ(events.back(), "analysis complete");
 }
@@ -108,19 +108,19 @@ TEST(PhoneRelay, LocalAnalysisScaledByProfile) {
 
 TEST(PhoneRelay, CsvFormatRoundTrips) {
   auto server = make_server();
-  server.provision_device(RelayConfig{}.device_id, kMacKey);
+  auto crypto = open_session(server, kDevice);
   RelayConfig config;
   config.csv_format = true;
   PhoneRelay relay(config);
   const auto response =
-      relay.relay_analysis(dip_series(3), 21, server, kMacKey);
+      relay.relay_analysis(dip_series(3), server, crypto);
   const auto report = core::PeakReport::deserialize(response.payload);
   EXPECT_EQ(report.reference_peak_count(), 3u);
 }
 
 TEST(PhoneRelay, CsvUploadLargerThanBinary) {
   auto server = make_server();
-  server.provision_device(RelayConfig{}.device_id, kMacKey);
+  auto crypto = open_session(server, kDevice);
   RelayConfig csv;
   csv.csv_format = true;
   csv.compress_uploads = false;
@@ -128,20 +128,20 @@ TEST(PhoneRelay, CsvUploadLargerThanBinary) {
   binary.compress_uploads = false;
   PhoneRelay csv_relay(csv), binary_relay(binary);
   const auto series = dip_series(1);
-  (void)csv_relay.relay_analysis(series, 1, server, kMacKey);
-  (void)binary_relay.relay_analysis(series, 2, server, kMacKey);
+  (void)csv_relay.relay_analysis(series, server, crypto);
+  (void)binary_relay.relay_analysis(series, server, crypto);
   EXPECT_GT(csv_relay.last_upload_bytes(), binary_relay.last_upload_bytes());
 }
 
 TEST(PhoneRelay, CompressedCsvRoundTrips) {
   auto server = make_server();
-  server.provision_device(RelayConfig{}.device_id, kMacKey);
+  auto crypto = open_session(server, kDevice);
   RelayConfig config;
   config.csv_format = true;
   config.compress_uploads = true;
   PhoneRelay relay(config);
   const auto response =
-      relay.relay_analysis(dip_series(2), 22, server, kMacKey);
+      relay.relay_analysis(dip_series(2), server, crypto);
   const auto report = core::PeakReport::deserialize(response.payload);
   EXPECT_EQ(report.reference_peak_count(), 2u);
   EXPECT_GT(relay.timing().compression_s, 0.0);
@@ -165,20 +165,20 @@ TEST(PhoneRelay, LossyLinkRoundTripBitIdenticalToLossless) {
   const auto series = dip_series(3);
 
   auto lossless_server = make_server();
-  lossless_server.provision_device(RelayConfig{}.device_id, kMacKey);
+  auto lossless_crypto = open_session(lossless_server, kDevice);
   PhoneRelay lossless;
   const auto clean =
-      lossless.relay_analysis(series, 31, lossless_server, kMacKey);
+      lossless.relay_analysis(series, lossless_server, lossless_crypto);
 
   auto server = make_server();
-  server.provision_device(RelayConfig{}.device_id, kMacKey);
+  auto crypto = open_session(server, kDevice);
   PhoneRelay relay(lossy_config(0.10));
-  const auto response = relay.relay_analysis(series, 31, server, kMacKey);
+  const auto response = relay.relay_analysis(series, server, crypto);
 
   // The ARQ layer must hand the cloud the exact upload and the phone the
   // exact response: the serialized PeakReport is bit-identical.
   EXPECT_EQ(response.payload, clean.payload);
-  EXPECT_TRUE(net::verify_envelope(response, kMacKey));
+  EXPECT_TRUE(net::verify_envelope(response, crypto.session_mac_key()));
   EXPECT_FALSE(relay.timing().local_fallback);
   EXPECT_GT(relay.timing().retransmissions, 0u);
   EXPECT_GT(relay.timing().timeouts, 0u);
@@ -189,7 +189,7 @@ TEST(PhoneRelay, LossyLinkRoundTripBitIdenticalToLossless) {
 
 TEST(PhoneRelay, RetryBudgetExhaustionFallsBackToLocalAnalysis) {
   auto server = make_server();
-  server.provision_device(RelayConfig{}.device_id, kMacKey);
+  auto crypto = open_session(server, kDevice);
   auto config = lossy_config(1.0);  // black hole
   config.reliable.retry_budget = 4;
   PhoneRelay relay(config);
@@ -199,11 +199,11 @@ TEST(PhoneRelay, RetryBudgetExhaustionFallsBackToLocalAnalysis) {
   relay.set_progress_callback(
       [&](const std::string& msg) { events.push_back(msg); });
 
+  const auto handshakes = server.requests_processed();
   net::Envelope response;
-  ASSERT_NO_THROW(response =
-                      relay.relay_analysis(series, 32, server, kMacKey));
+  ASSERT_NO_THROW(response = relay.relay_analysis(series, server, crypto));
   EXPECT_TRUE(relay.timing().local_fallback);
-  EXPECT_EQ(server.requests_processed(), 0u);  // cloud never reached
+  EXPECT_EQ(server.requests_processed(), handshakes);  // cloud never reached
   // The fallback result is a genuine analysis of the same series.
   EXPECT_EQ(response.type, net::MessageType::kAnalysisResult);
   const auto report = core::PeakReport::deserialize(response.payload);
@@ -217,22 +217,22 @@ TEST(PhoneRelay, RetryBudgetExhaustionFallsBackToLocalAnalysis) {
 
 TEST(PhoneRelay, LossyAuthThrowsWhenBudgetExhausted) {
   auto server = make_server();
-  server.provision_device(RelayConfig{}.device_id, kMacKey);
+  auto crypto = open_session(server, kDevice);
   auto config = lossy_config(1.0);
   config.reliable.retry_budget = 2;
   PhoneRelay relay(config);
-  EXPECT_THROW((void)relay.relay_auth(dip_series(1), 33, 1.0, server, kMacKey),
+  EXPECT_THROW((void)relay.relay_auth(dip_series(1), 1.0, server, crypto),
                net::TransportError);
 }
 
 TEST(PhoneRelay, AuthProgressReportsDownload) {
   auto server = make_server();
-  server.provision_device(RelayConfig{}.device_id, kMacKey);
+  auto crypto = open_session(server, kDevice);
   PhoneRelay relay;
   std::vector<std::string> events;
   relay.set_progress_callback(
       [&](const std::string& msg) { events.push_back(msg); });
-  (void)relay.relay_auth(dip_series(1), 34, 1.0, server, kMacKey);
+  (void)relay.relay_auth(dip_series(1), 1.0, server, crypto);
   bool download_reported = false;
   for (const auto& e : events)
     download_reported |= e == "downloading auth decision";
@@ -242,31 +242,19 @@ TEST(PhoneRelay, AuthProgressReportsDownload) {
 
 TEST(PhoneRelay, QualityRejectionArrivesAsStructuredError) {
   auto server = make_server();
-  server.provision_device(RelayConfig{}.device_id, kMacKey);
+  auto crypto = open_session(server, kDevice);
   // A clipped acquisition: the relay still completes the round trip, and
   // the client can read the machine-readable reason from the envelope.
   util::MultiChannelSeries series;
   series.carrier_frequencies_hz = {5.0e5};
   series.channels.emplace_back(450.0, std::vector<double>(5000, 2.5));
   PhoneRelay relay;
-  const auto response = relay.relay_analysis(series, 41, server, kMacKey);
+  const auto response = relay.relay_analysis(series, server, crypto);
   EXPECT_EQ(response.type, net::MessageType::kError);
   const auto error = net::ErrorPayload::deserialize(response.payload);
   EXPECT_EQ(error.code, net::ErrorCode::kQualityRejected);
   EXPECT_EQ(error.subcode,
             static_cast<std::uint8_t>(cloud::QualityReason::kSaturated));
-}
-
-TEST(PhoneRelay, UnprovisionedDeviceArrivesAsError) {
-  auto server = make_server();
-  server.provision_device(RelayConfig{}.device_id, kMacKey);
-  RelayConfig config;
-  config.device_id = 99;  // never provisioned
-  PhoneRelay relay(config);
-  const auto response = relay.relay_analysis(dip_series(1), 1, server, kMacKey);
-  EXPECT_EQ(response.type, net::MessageType::kError);
-  const auto error = net::ErrorPayload::deserialize(response.payload);
-  EXPECT_EQ(error.code, net::ErrorCode::kUnknownDevice);
 }
 
 // --- Session-plane (EV2-style) relay tests ----------------------------
@@ -287,12 +275,32 @@ AcquireFn clean_acquire() {
   };
 }
 
+TEST(PhoneRelay, UnprovisionedDeviceArrivesAsError) {
+  auto server = make_server();
+  test_support::enroll(server, kDevice);
+  RelayConfig config;
+  config.device_id = 99;  // never enrolled
+  PhoneRelay relay(config);
+  auto controller = make_controller();
+  controller.enable_session_crypto(99, test_support::device_key(99),
+                                   test_support::kEpoch);
+
+  // The relay's handshake is refused and leaves no session behind...
+  EXPECT_FALSE(relay.establish_session(controller, 1, server));
+  EXPECT_FALSE(controller.session_crypto()->active());
+  // ...because the server answers an unknown device with kUnknownDevice.
+  const auto response =
+      server.handle(controller.session_crypto()->make_challenge(2));
+  EXPECT_EQ(response.type, net::MessageType::kError);
+  const auto error = net::ErrorPayload::deserialize(response.payload);
+  EXPECT_EQ(error.code, net::ErrorCode::kUnknownDevice);
+}
+
 TEST(PhoneRelay, EstablishSessionDerivesMatchingKeys) {
   auto server = make_server();
   auto controller = make_controller();
   PhoneRelay relay;
-  server.provision_device(relay.config().device_id, kMacKey);
-  controller.enable_session_crypto(relay.config().device_id, kMacKey);
+  test_support::arm(server, controller, relay.config().device_id);
 
   ASSERT_TRUE(relay.establish_session(controller, 100, server));
   auto* crypto = controller.session_crypto();
@@ -308,7 +316,7 @@ TEST(PhoneRelay, EstablishSessionFailsWithoutArmedCrypto) {
   auto server = make_server();
   auto controller = make_controller();
   PhoneRelay relay;
-  server.provision_device(relay.config().device_id, kMacKey);
+  test_support::enroll(server, relay.config().device_id);
   EXPECT_FALSE(relay.establish_session(controller, 100, server));
 }
 
@@ -316,15 +324,14 @@ TEST(PhoneRelay, SessionPlaneRelayStampsCounters) {
   auto server = make_server();
   auto controller = make_controller();
   PhoneRelay relay;
-  server.provision_device(relay.config().device_id, kMacKey);
-  controller.enable_session_crypto(relay.config().device_id, kMacKey);
+  test_support::arm(server, controller, relay.config().device_id);
   ASSERT_TRUE(relay.establish_session(controller, 100, server));
   auto* crypto = controller.session_crypto();
 
   const auto series = dip_series(3);
   for (std::uint32_t i = 1; i <= 3; ++i) {
     const auto response =
-        relay.relay_analysis(series, /*session_id=*/0, server, {}, crypto);
+        relay.relay_analysis(series, server, *crypto);
     ASSERT_EQ(response.type, net::MessageType::kAnalysisResult);
     EXPECT_EQ(response.counter, i);
     EXPECT_EQ(response.session_id, 100u);
@@ -336,15 +343,14 @@ TEST(PhoneRelay, SessionLossSurfacesAuthRequired) {
   auto server = make_server();
   auto controller = make_controller();
   PhoneRelay relay;
-  server.provision_device(relay.config().device_id, kMacKey);
-  controller.enable_session_crypto(relay.config().device_id, kMacKey);
+  test_support::arm(server, controller, relay.config().device_id);
   ASSERT_TRUE(relay.establish_session(controller, 100, server));
   auto* crypto = controller.session_crypto();
 
   // The server forgets the session (restart / rotation)...
   server.sessions().drop(relay.config().device_id);
   const auto response =
-      relay.relay_analysis(dip_series(3), 0, server, {}, crypto);
+      relay.relay_analysis(dip_series(3), server, *crypto);
   ASSERT_EQ(response.type, net::MessageType::kError);
   EXPECT_EQ(net::ErrorPayload::deserialize(response.payload).code,
             net::ErrorCode::kAuthRequired);
@@ -352,7 +358,7 @@ TEST(PhoneRelay, SessionLossSurfacesAuthRequired) {
   // ...and a fresh handshake restores service with counters reset.
   crypto->invalidate();
   ASSERT_TRUE(relay.establish_session(controller, 101, server));
-  const auto again = relay.relay_analysis(dip_series(3), 0, server, {}, crypto);
+  const auto again = relay.relay_analysis(dip_series(3), server, *crypto);
   EXPECT_EQ(again.type, net::MessageType::kAnalysisResult);
   EXPECT_EQ(again.counter, 1u);
 }
@@ -361,16 +367,14 @@ TEST(PhoneRelay, DiagnosticSessionRidesSessionPlane) {
   auto server = make_server();
   auto controller = make_controller();
   PhoneRelay relay;
-  server.provision_device(relay.config().device_id, kMacKey);
-  controller.enable_session_crypto(relay.config().device_id, kMacKey);
+  test_support::arm(server, controller, relay.config().device_id);
 
   const auto outcome = relay.run_diagnostic_session(
-      controller, 20.0, clean_acquire(), /*session_base_id=*/100, server,
-      kMacKey);
+      controller, 20.0, clean_acquire(), /*session_base_id=*/100, server);
   EXPECT_EQ(outcome.attempts, 1u);
   EXPECT_FALSE(outcome.degraded);
   // One handshake, and the analysis rode the negotiated session with a
-  // MAC under the derived key, not the static kMacKey.
+  // MAC under the derived session key.
   EXPECT_EQ(server.stats().handshakes_completed, 1u);
   EXPECT_EQ(outcome.last_response.counter, 1u);
   auto* crypto = controller.session_crypto();
@@ -387,8 +391,7 @@ TEST(PhoneRelay, DiagnosticSessionRekeysAfterServerSessionLoss) {
   auto server = make_server();
   auto controller = make_controller();
   PhoneRelay relay;
-  server.provision_device(relay.config().device_id, kMacKey);
-  controller.enable_session_crypto(relay.config().device_id, kMacKey);
+  test_support::arm(server, controller, relay.config().device_id);
 
   bool dropped = false;
   const AcquireFn acquire =
@@ -401,7 +404,7 @@ TEST(PhoneRelay, DiagnosticSessionRekeysAfterServerSessionLoss) {
       };
 
   const auto outcome = relay.run_diagnostic_session(
-      controller, 20.0, acquire, /*session_base_id=*/100, server, kMacKey);
+      controller, 20.0, acquire, /*session_base_id=*/100, server);
   EXPECT_EQ(outcome.attempts, 1u);
   EXPECT_FALSE(outcome.degraded);
   EXPECT_EQ(server.stats().handshakes_completed, 2u);
@@ -410,6 +413,36 @@ TEST(PhoneRelay, DiagnosticSessionRekeysAfterServerSessionLoss) {
   auto* crypto = controller.session_crypto();
   EXPECT_TRUE(
       net::verify_envelope(outcome.last_response, crypto->session_mac_key()));
+}
+
+// No session, no upload: a controller whose handshake cannot complete
+// (here: never armed) acquires once and degrades to the on-phone path.
+TEST(PhoneRelay, DiagnosticSessionWithoutSessionDegradesOnPhone) {
+  auto server = make_server();
+  auto controller = make_controller();
+  PhoneRelay relay;
+  test_support::enroll(server, relay.config().device_id);
+
+  const auto outcome = relay.run_diagnostic_session(
+      controller, 20.0, clean_acquire(), /*session_base_id=*/100, server);
+  EXPECT_EQ(outcome.attempts, 1u);
+  EXPECT_TRUE(outcome.degraded);
+  ASSERT_EQ(outcome.actions.size(), 1u);
+  EXPECT_EQ(outcome.actions.back(), core::RecoveryAction::kGiveUp);
+  EXPECT_EQ(outcome.last_response.type, net::MessageType::kAnalysisResult);
+  EXPECT_EQ(server.stats().requests_processed, 0u);  // nothing was sent
+}
+
+TEST(PhoneRelay, CommandWithoutActiveSessionThrows) {
+  auto server = make_server();
+  test_support::enroll(server, kDevice);
+  core::SessionCrypto idle(kDevice, test_support::device_key(kDevice),
+                           test_support::kEpoch, 1);
+  PhoneRelay relay;
+  EXPECT_THROW((void)relay.relay_analysis(dip_series(1), server, idle),
+               std::logic_error);
+  EXPECT_THROW((void)relay.relay_auth(dip_series(1), 1.0, server, idle),
+               std::logic_error);
 }
 
 // ARQ retransmissions on lossy links must never trip the anti-replay
@@ -421,13 +454,12 @@ TEST(PhoneRelay, SessionPlaneSurvivesLossyTransport) {
   auto config = lossy_config(0.08);
   config.reliable.retry_budget = 400;
   PhoneRelay relay(config);
-  server.provision_device(relay.config().device_id, kMacKey);
-  controller.enable_session_crypto(relay.config().device_id, kMacKey);
+  test_support::arm(server, controller, relay.config().device_id);
 
   ASSERT_TRUE(relay.establish_session(controller, 100, server));
   auto* crypto = controller.session_crypto();
   const auto response =
-      relay.relay_analysis(dip_series(3), 0, server, {}, crypto);
+      relay.relay_analysis(dip_series(3), server, *crypto);
   ASSERT_EQ(response.type, net::MessageType::kAnalysisResult);
   EXPECT_EQ(response.counter, 1u);
   EXPECT_EQ(server.stats().counter_rejections, 0u);

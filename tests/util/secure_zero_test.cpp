@@ -143,7 +143,7 @@ TEST(SecretBytes, WipeIsIdempotentAndReusable) {
 }
 
 TEST(SecretBytes, SpillPathHoldsOversizedKeys) {
-  // Legacy free-form provisioning keys may exceed the inline capacity.
+  // Free-form keys (e.g. a storage key) may exceed the inline capacity.
   const auto big = pattern(200);
   SecretBytes secret(big);
   ASSERT_EQ(secret.size(), 200u);

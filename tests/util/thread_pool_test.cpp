@@ -35,14 +35,17 @@ TEST(ThreadPool, RespectsGrain) {
     sizes.push_back(e - b);
   });
   std::size_t total = 0;
+  std::size_t below_grain = 0;
   for (const std::size_t s : sizes) {
     EXPECT_GE(s, 1u);
     total += s;
+    if (s < 32u) ++below_grain;
   }
   EXPECT_EQ(total, 100u);
-  // All chunks but the ragged last one must honor the grain.
-  for (std::size_t i = 0; i + 1 < sizes.size(); ++i)
-    EXPECT_GE(sizes[i], 32u);
+  // Every chunk but the one ragged remainder honors the grain. Chunks
+  // finish in any order, so the remainder is not necessarily the last
+  // one recorded.
+  EXPECT_LE(below_grain, 1u);
 }
 
 TEST(ThreadPool, PropagatesFirstException) {
