@@ -2,42 +2,13 @@
 
 namespace medsen::compress {
 
-void BitWriter::put(std::uint32_t bits, unsigned count) {
-  if (count > 32) throw std::invalid_argument("BitWriter: count > 32");
-  const std::uint64_t mask =
-      count == 32 ? 0xFFFFFFFFull : ((1ull << count) - 1ull);
-  acc_ |= (static_cast<std::uint64_t>(bits) & mask) << acc_bits_;
-  acc_bits_ += count;
-  total_bits_ += count;
-  while (acc_bits_ >= 8) {
+std::vector<std::uint8_t> BitWriter::finish() {
+  for (; acc_bits_ > 0; acc_bits_ = acc_bits_ > 8 ? acc_bits_ - 8 : 0) {
     buf_.push_back(static_cast<std::uint8_t>(acc_));
     acc_ >>= 8;
-    acc_bits_ -= 8;
   }
-}
-
-std::vector<std::uint8_t> BitWriter::finish() {
-  if (acc_bits_ > 0) {
-    buf_.push_back(static_cast<std::uint8_t>(acc_));
-    acc_ = 0;
-    acc_bits_ = 0;
-  }
+  acc_ = 0;
   return std::move(buf_);
-}
-
-std::uint32_t BitReader::get(unsigned count) {
-  if (count > 32) throw std::invalid_argument("BitReader: count > 32");
-  std::uint32_t out = 0;
-  for (unsigned i = 0; i < count; ++i) {
-    const std::size_t byte = pos_bits_ / 8;
-    if (byte >= data_.size())
-      throw std::out_of_range("BitReader: past end of stream");
-    const unsigned bit_in_byte = pos_bits_ % 8;
-    const std::uint32_t b = (data_[byte] >> bit_in_byte) & 1u;
-    out |= b << i;
-    ++pos_bits_;
-  }
-  return out;
 }
 
 }  // namespace medsen::compress

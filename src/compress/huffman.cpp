@@ -1,6 +1,7 @@
 #include "compress/huffman.h"
 
 #include <algorithm>
+#include <array>
 #include <queue>
 #include <stdexcept>
 
@@ -100,15 +101,20 @@ HuffmanCode build_codes(std::span<const std::uint8_t> lengths) {
   return out;
 }
 
-void HuffmanEncoder::encode(BitWriter& out, std::uint16_t symbol) const {
-  const unsigned len = code_.lengths.at(symbol);
-  if (len == 0)
+HuffmanEncoder::HuffmanEncoder(HuffmanCode code,
+                               std::span<const std::uint64_t> freqs)
+    : code_(std::move(code)) {
+  if (freqs.size() > code_.lengths.size())
     throw std::runtime_error("HuffmanEncoder: symbol has no code");
-  out.put(code_.codes[symbol], len);
+  for (std::size_t s = 0; s < freqs.size(); ++s)
+    if (freqs[s] > 0 && code_.lengths[s] == 0)
+      throw std::runtime_error("HuffmanEncoder: symbol has no code");
 }
 
 HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths) {
-  std::vector<std::uint32_t> length_count(kMaxCodeLength + 1, 0);
+  if (lengths.size() > kMaxSymbols)
+    throw std::invalid_argument("HuffmanDecoder: alphabet too large");
+  std::array<std::uint32_t, kMaxCodeLength + 1> length_count{};
   for (auto len : lengths) {
     if (len > kMaxCodeLength)
       throw std::invalid_argument("HuffmanDecoder: length too long");
@@ -117,8 +123,6 @@ HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths) {
       max_len_ = std::max<unsigned>(max_len_, len);
     }
   }
-  first_code_.assign(kMaxCodeLength + 2, 0);
-  first_index_.assign(kMaxCodeLength + 2, 0);
   std::uint32_t code = 0;
   std::uint32_t index = 0;
   for (unsigned len = 1; len <= kMaxCodeLength; ++len) {
@@ -127,25 +131,52 @@ HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths) {
     first_index_[len] = index;
     index += length_count[len];
   }
+  first_index_[kMaxCodeLength + 1] = index;
+
   // Symbols sorted by (length, symbol value) — canonical order.
-  symbols_.clear();
+  std::array<std::uint32_t, kMaxCodeLength + 1> next = {};
   for (unsigned len = 1; len <= kMaxCodeLength; ++len)
-    for (std::size_t s = 0; s < lengths.size(); ++s)
-      if (lengths[s] == len) symbols_.push_back(static_cast<std::uint16_t>(s));
+    next[len] = first_index_[len];
+  for (std::size_t s = 0; s < lengths.size(); ++s)
+    if (lengths[s] > 0)
+      symbols_[next[lengths[s]]++] = static_cast<std::uint16_t>(s);
+
+  // Fill the table longest code first, so where an over-subscribed table
+  // gives a short code and a longer one the same prefix, the short code
+  // (the one the canonical walk reaches first) overwrites.
+  const unsigned table_max = std::min(max_len_, kTableBits);
+  for (unsigned len = table_max; len >= 1; --len) {
+    for (std::uint32_t i = first_index_[len]; i < first_index_[len + 1]; ++i) {
+      const std::uint32_t canonical = first_code_[len] + (i - first_index_[len]);
+      if (canonical >= (1u << len)) break;  // no len-bit prefix reads as it
+      std::uint32_t reversed = 0;
+      for (unsigned b = 0; b < len; ++b)
+        reversed |= ((canonical >> b) & 1u) << (len - 1 - b);
+      const auto entry =
+          static_cast<std::uint16_t>((len << kLengthShift) | symbols_[i]);
+      for (std::uint32_t slot = reversed; slot < table_.size();
+           slot += 1u << len)
+        table_[slot] = entry;
+    }
+  }
 }
 
-std::uint16_t HuffmanDecoder::decode(BitReader& in) const {
+std::uint16_t HuffmanDecoder::decode_slow(BitReader& in) const {
+  // The canonical walk over the (zero-padded) next kMaxCodeLength bits.
+  const std::uint32_t bits = in.peek(kMaxCodeLength);
   std::uint32_t code = 0;
   for (unsigned len = 1; len <= max_len_; ++len) {
-    code = (code << 1) | in.bit();
-    const std::uint32_t count =
-        (len < kMaxCodeLength ? first_index_[len + 1] : static_cast<std::uint32_t>(symbols_.size())) -
-        first_index_[len];
-    if (count > 0 && code >= first_code_[len] &&
-        code < first_code_[len] + count) {
+    code = (code << 1) | ((bits >> (len - 1)) & 1u);
+    const std::uint32_t count = first_index_[len + 1] - first_index_[len];
+    if (code >= first_code_[len] && code - first_code_[len] < count) {
+      in.skip(len);
       return symbols_[first_index_[len] + (code - first_code_[len])];
     }
   }
+  // A reader stepping bit by bit would have run off the stream before
+  // reaching the invalid-code verdict.
+  if (max_len_ > in.buffered())
+    throw std::out_of_range("BitReader: past end of stream");
   throw std::runtime_error("HuffmanDecoder: invalid code");
 }
 

@@ -28,12 +28,10 @@ struct LzssConfig {
   bool lazy = true;          ///< one-step-lazy matching (deflate style)
 };
 
-/// Tokenize `data`.
+/// Tokenize `data`. At each position the match is the longest within
+/// the first `max_chain` hash-chain candidates (the nearest on ties); the
+/// token stream is part of the wire format, so it must not change.
 std::vector<Token> lzss_compress(std::span<const std::uint8_t> data,
                                  const LzssConfig& config = {});
-
-/// Reconstruct original bytes from tokens; throws std::runtime_error on
-/// invalid references.
-std::vector<std::uint8_t> lzss_decompress(std::span<const Token> tokens);
 
 }  // namespace medsen::compress

@@ -13,7 +13,7 @@ TEST(BitIo, SingleBitsRoundTrip) {
   for (int b : bits) w.put(static_cast<std::uint32_t>(b), 1);
   const auto buf = w.finish();
   BitReader r(buf);
-  for (int b : bits) EXPECT_EQ(r.bit(), static_cast<std::uint32_t>(b));
+  for (int b : bits) EXPECT_EQ(r.get(1), static_cast<std::uint32_t>(b));
 }
 
 TEST(BitIo, LsbFirstWithinByte) {

@@ -5,9 +5,12 @@
 #include <string>
 
 #include "crypto/chacha20.h"
+#include "reference_codec.h"
 
 namespace medsen::compress {
 namespace {
+
+using reference::lzss_decompress;
 
 std::vector<std::uint8_t> bytes_of(const std::string& s) {
   return {s.begin(), s.end()};

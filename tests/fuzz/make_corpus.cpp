@@ -14,6 +14,7 @@
 #include "core/peak_report.h"
 #include "net/frame.h"
 #include "net/messages.h"
+#include "reference_codec.h"
 
 namespace {
 
@@ -157,6 +158,39 @@ int main(int argc, char** argv) {
     repetitive.push_back(static_cast<std::uint8_t>(i % 7));
   write(root / "codec", "repetitive.bin",
         medsen::compress::compress(repetitive));
+  // Seeds for each decode path: codes longer than the decoder's lookup
+  // table, up to the 15-bit maximum (literal i has an (i+1)-bit code, the
+  // end-of-block code shares 15 bits with literal 14) ...
+  {
+    std::vector<std::uint8_t> lit_lengths(286, 0);
+    for (std::uint8_t i = 0; i < 14; ++i) lit_lengths[i] = i + 1;
+    lit_lengths[14] = 15;
+    lit_lengths[256] = 15;
+    const std::vector<std::uint8_t> dist_lengths(30, 0);
+    const std::vector<std::uint8_t> bytes = {0, 1,  2,  3,  4,  5,  6, 7, 8,
+                                             9, 10, 11, 12, 13, 14, 14, 13,
+                                             12, 11, 10, 0};
+    std::vector<medsen::compress::Token> tokens;
+    for (std::uint8_t b : bytes) {
+      medsen::compress::Token t;
+      t.literal = b;
+      tokens.push_back(t);
+    }
+    write(root / "codec", "long_codes_15bit.bin",
+          medsen::compress::reference::pack(tokens, lit_lengths,
+                                            dist_lengths, bytes));
+  }
+  // ... an empty distance table (no byte repeats, so no matches) ...
+  std::vector<std::uint8_t> distinct;
+  for (int i = 0; i < 48; ++i)
+    distinct.push_back(static_cast<std::uint8_t>(i * 5));
+  write(root / "codec", "literals_only.bin",
+        medsen::compress::compress(distinct));
+  // ... and single-symbol alphabets: one literal plus distance-1
+  // back-references of the maximum length 258 (one distance code).
+  write(root / "codec", "run_dist1_len258.bin",
+        medsen::compress::compress(
+            std::vector<std::uint8_t>(1 + 258 * 4, 'a')));
 
   // --- peak_report ----------------------------------------------------
   medsen::core::PeakReport report;

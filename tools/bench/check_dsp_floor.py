@@ -11,6 +11,9 @@ back into a kernel, a per-request allocation storm), not runner jitter.
 Also enforces the streaming correctness invariant carried by the
 artifact: streamed and pipelined peak counts must equal the batch count.
 
+With --floor tools/bench/codec_floor.json it checks the codec's
+BENCH_compression.json (bench_compression --smoke) the same way.
+
 Usage: check_dsp_floor.py ARTIFACT.json [ARTIFACT.json ...]
                           [--floor FLOOR.json]
 Exit status: 0 ok, 1 regression or malformed artifact, 2 usage error.
