@@ -1,11 +1,11 @@
-// Restart-chaos harness for the crash-consistent durability layer
-// (ISSUE 10 tentpole). Drives a scripted mix of durable traffic —
+// Restart-chaos harness for the crash-consistent durability layer.
+// Drives a scripted mix of durable traffic —
 // master rotation, diversified device enrollment and revocation, user
 // enrollment, stored records, session handshakes, compactions — against
 // a WAL-backed CloudServer, kills the "process" with a SimulatedCrash at
 // every registered crash point (exhaustive site sweep; --smoke runs
 // exactly that, deterministically), reconstructs the server from disk,
-// and verifies five invariants after every crash:
+// and verifies six invariants after every crash:
 //
 //   1. No acked record lost: everything acknowledged before the crash
 //      is present after recovery.
@@ -17,10 +17,10 @@
 //   4. Counters monotonic across restart: the journal LSN never rewinds
 //      past an acknowledged write.
 //   5. No plaintext secret bytes on disk: the master key, the storage
-//      key and the (never stored) derived device keys appear in no state
-//      file (the store is sealed).
+//      key and the (never stored) derived device keys appear in no file
+//      of the state directory (the store is sealed).
 //   6. No sealing-nonce reuse: across every file a crash leaves behind
-//      (including stranded .tmp snapshots recovery never reads), no
+//      (including a stranded state.snap.tmp recovery never reads), no
 //      AES-CTR nonce ever covers two different ciphertexts — keystream
 //      reuse would leak the sealed secrets (XOR of ciphertexts = XOR of
 //      plaintexts) without any plaintext substring for invariant 5's
@@ -40,10 +40,12 @@
 // cache is the same one a kill -9 would leave behind.
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <functional>
 #include <map>
 #include <memory>
@@ -138,7 +140,7 @@ std::vector<std::uint8_t> pattern_key(std::uint8_t base) {
 }
 
 std::vector<std::uint8_t> storage_key() {
-  return std::vector<std::uint8_t>(32, 0x6B);
+  return std::vector<std::uint8_t>(16, 0x6B);
 }
 
 auth::CytoCode code_of(std::initializer_list<std::uint8_t> levels) {
@@ -147,31 +149,27 @@ auth::CytoCode code_of(std::initializer_list<std::uint8_t> levels) {
   return code;
 }
 
-const char* kStateFiles[] = {"/journal.wal", "/records.snap", "/enroll.snap",
-                             "/registry.snap", "/sessions.snap"};
+void remove_state(const std::string& dir) { std::filesystem::remove_all(dir); }
 
-void remove_state(const std::string& dir) {
-  for (const char* file : kStateFiles) {
-    std::remove((dir + file).c_str());
-    std::remove((dir + file + ".tmp").c_str());
-  }
-  std::remove((dir + "/seal.epoch").c_str());
-  std::remove((dir + "/seal.epoch.tmp").c_str());
+/// The path of every file in the state directory, whatever its name:
+/// live state, torn .tmp leftovers, anything else a crash abandoned.
+std::vector<std::string> state_files(const std::string& dir) {
+  std::vector<std::string> paths;
+  if (!std::filesystem::exists(dir)) return paths;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    if (entry.is_regular_file()) paths.push_back(entry.path().string());
+  std::sort(paths.begin(), paths.end());
+  return paths;
 }
 
-/// Is `needle` a contiguous byte run in any state file (including torn
-/// .tmp leftovers a crash may have abandoned)?
+/// Is `needle` a contiguous byte run in any file of the state directory?
 bool on_disk(const std::string& dir,
              const std::vector<std::uint8_t>& needle) {
-  for (const char* file : kStateFiles) {
-    for (const char* suffix : {"", ".tmp"}) {
-      const auto path = dir + file + suffix;
-      if (!util::file_exists(path)) continue;
-      const auto bytes = util::read_file(path);
-      if (std::search(bytes.begin(), bytes.end(), needle.begin(),
-                      needle.end()) != bytes.end())
-        return true;
-    }
+  for (const auto& path : state_files(dir)) {
+    const auto bytes = util::read_file(path);
+    if (std::search(bytes.begin(), bytes.end(), needle.begin(),
+                    needle.end()) != bytes.end())
+      return true;
   }
   return false;
 }
@@ -231,7 +229,8 @@ void scan_journal(const std::vector<std::uint8_t>& bytes,
 
 /// Parse one snapshot container (live or stranded .tmp): u32 magic |
 /// u32 version | u32 crc | blob(u64 applied_lsn | blob(flagged)). A
-/// torn prefix that does not reach the flagged payload is skipped.
+/// torn prefix that does not reach the flagged payload is skipped, and
+/// so is seal.epoch, whose body is too short to hold one.
 void scan_snapshot(const std::vector<std::uint8_t>& bytes,
                    std::vector<SealedSighting>& out) {
   if (bytes.size() < 16) return;
@@ -269,6 +268,9 @@ struct Rig {
   ~Rig() { server.reset(); }  // server first: it points at durable
 };
 
+/// A handshake's server nonce.
+using RndB = std::array<std::uint8_t, net::AuthResponsePayload::kNonceSize>;
+
 /// What the harness has been promised. `acked` holds operations whose
 /// calls returned before the crash (must survive); `allowed` adds the
 /// single in-flight operation the crash interrupted (may survive — the
@@ -286,7 +288,7 @@ struct Ledger {
   std::uint64_t acked_lsn = 0;
   /// Every RndB this state-directory lineage has ever issued; invariant
   /// 3 is their global pairwise uniqueness.
-  std::set<std::vector<std::uint8_t>> rnd_bs;
+  std::set<RndB> rnd_bs;
   /// Sealing nonce -> ciphertext fingerprint, across every disk
   /// observation of this lineage; invariant 6 is that no nonce ever
   /// reappears over *different* ciphertext (CTR keystream reuse).
@@ -310,8 +312,9 @@ struct Invariants {
   }
 };
 
-/// Invariant 6: fold every sealed payload currently on disk (state
-/// files AND stranded .tmp snapshots) into the lineage's nonce map. The
+/// Invariant 6: fold every sealed payload currently on disk (every file
+/// in the state directory, stranded .tmp files included) into the
+/// lineage's nonce map. The
 /// dangerous case this exists for: a crash after a snapshot tmp is
 /// fsync'd but before its rename leaves ciphertext under nonces that
 /// recovery never reads — a counter rebuilt from observed payloads
@@ -320,16 +323,12 @@ struct Invariants {
 std::size_t check_seal_nonces(const std::string& dir, Ledger& led,
                               Invariants& inv, const char* label) {
   std::vector<SealedSighting> sightings;
-  for (const char* file : kStateFiles) {
-    for (const char* suffix : {"", ".tmp"}) {
-      const auto path = dir + file + suffix;
-      if (!util::file_exists(path)) continue;
-      const auto bytes = util::read_file(path);
-      if (bytes.size() >= 4 && le32(bytes.data()) == 0x4D534A4CU)  // "MSJL"
-        scan_journal(bytes, sightings);
-      else
-        scan_snapshot(bytes, sightings);
-    }
+  for (const auto& path : state_files(dir)) {
+    const auto bytes = util::read_file(path);
+    if (bytes.size() >= 4 && le32(bytes.data()) == 0x4D534A4CU)  // "MSJL"
+      scan_journal(bytes, sightings);
+    else
+      scan_snapshot(bytes, sightings);
   }
   std::size_t failures = 0;
   for (const auto& sighting : sightings) {
@@ -351,8 +350,7 @@ std::size_t check_seal_nonces(const std::string& dir, Ledger& led,
 /// or nullopt when the server (correctly) refuses. The device-side RndA
 /// is the SAME every time (fixed crypto seed), so RndB freshness rests
 /// entirely on the durability of the server's handshake ordinal.
-std::optional<std::vector<std::uint8_t>> handshake_rnd_b(Rig& rig,
-                                                         Ledger& led) {
+std::optional<RndB> handshake_rnd_b(Rig& rig, Ledger& led) {
   core::SessionCrypto crypto(
       kEnrolled,
       crypto::diversify_device_key(pattern_key(0xC0), kEnrolled, kEpoch),
@@ -362,14 +360,13 @@ std::optional<std::vector<std::uint8_t>> handshake_rnd_b(Rig& rig,
   if (response.type != net::MessageType::kAuthResponse) return std::nullopt;
   const auto payload = net::AuthResponsePayload::deserialize(response.payload);
   if (!crypto.complete(response)) return std::nullopt;
-  return std::vector<std::uint8_t>(payload.challenge.begin(),
-                                   payload.challenge.end());
+  return payload.challenge;
 }
 
 /// Record a fresh RndB, reporting an invariant-3 violation when it
 /// duplicates any nonce this lineage has seen.
-bool note_rnd_b(Ledger& led, const std::vector<std::uint8_t>& rnd_b,
-                Invariants& inv, const char* where) {
+bool note_rnd_b(Ledger& led, const RndB& rnd_b, Invariants& inv,
+                const char* where) {
   if (!led.rnd_bs.insert(rnd_b).second) {
     std::printf("INVARIANT 3 VIOLATED (%s): duplicated RndB — a recorded "
                 "handshake would replay\n",

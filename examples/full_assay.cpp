@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 
 #include "cloud/durability.h"
 #include "cloud/server.h"
@@ -21,7 +22,6 @@
 #include "crypto/cmac.h"
 #include "phone/relay.h"
 #include "sim/capture.h"
-#include "util/fileio.h"
 
 using namespace medsen;
 
@@ -39,14 +39,12 @@ int main() {
   // Production posture: the cloud journals every mutation (enrollment,
   // stored record, handshake ordinal) to its write-ahead log before
   // acknowledging it, and both the auth pass and the diagnostic pass
-  // ride one negotiated session.
+  // ride one negotiated session. The journal and its snapshot are
+  // sealed at rest under a 16-byte storage key.
   cloud::DurabilityConfig durability;
   durability.dir = "/tmp/medsen_full_assay";
-  const auto clear_state = [&] {
-    for (const char* file : {"journal.wal", "records.snap", "enroll.snap",
-                             "registry.snap", "sessions.snap"})
-      util::remove_file(durability.dir + "/" + file);
-  };
+  durability.storage_key = std::vector<std::uint8_t>(16, 0x5E);
+  const auto clear_state = [&] { std::filesystem::remove_all(durability.dir); };
   clear_state();
   const auto make_server = [&] {
     return cloud::CloudServer(

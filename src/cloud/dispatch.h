@@ -20,12 +20,9 @@
 //  - ServiceResult: a handler's outcome as data. Failures are values
 //    that become kError envelopes at the boundary; exceptions are
 //    reserved for programmer errors.
-//  - Dispatcher: MessageType -> handler registry behind the single
-//    CloudServer::handle() entrypoint.
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -258,22 +255,6 @@ struct ServiceResult {
   static ServiceResult failure(net::ErrorCode code, std::string detail,
                                std::uint8_t subcode = 0,
                                std::vector<std::uint8_t> channel_reasons = {});
-};
-
-/// MessageType -> handler registry. Handlers run after admission, device
-/// resolution and MAC verification, so they only see authenticated
-/// requests from known devices.
-class Dispatcher {
- public:
-  using Handler =
-      std::function<ServiceResult(const net::Envelope&, RequestContext&)>;
-
-  void add(net::MessageType type, Handler handler);
-  [[nodiscard]] const Handler* find(net::MessageType type) const;
-  [[nodiscard]] std::vector<net::MessageType> registered() const;
-
- private:
-  std::unordered_map<std::uint8_t, Handler> handlers_;
 };
 
 }  // namespace medsen::cloud

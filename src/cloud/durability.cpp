@@ -1,8 +1,7 @@
 #include "cloud/durability.h"
 
-#include <algorithm>
 #include <chrono>
-#include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "cloud/persistence.h"
@@ -11,23 +10,30 @@
 #include "crypto/cmac.h"
 #include "util/crash_point.h"
 #include "util/fileio.h"
-#include "util/secure_zero.h"
 #include "util/serialize.h"
 
 namespace medsen::cloud {
 
 namespace {
 
-// Durable-snapshot magics (the bodies carry an applied_lsn and a
-// sealing flag).
-constexpr std::uint32_t kSnapRecordMagic = 0x4D445243;    // "MDRC"
-constexpr std::uint32_t kSnapEnrollMagic = 0x4D44454E;    // "MDEN"
-constexpr std::uint32_t kSnapRegistryMagic = 0x4D445247;  // "MDRG"
-constexpr std::uint32_t kSnapSessionMagic = 0x4D445353;   // "MDSS"
-constexpr std::uint32_t kSealEpochMagic = 0x4D444550;     // "MDEP"
+constexpr std::uint32_t kSealEpochMagic = 0x4D444550;  // "MDEP"
 
-std::string journal_file_for(const DurabilityConfig& config) {
+/// Checks what must hold before anything on disk is touched, then
+/// returns the journal path. The per-store snapshots of the older
+/// four-file layout hold acked state this layout does not read, so a
+/// directory still holding one is refused instead of booted without it.
+std::string open_state_dir(const DurabilityConfig& config) {
+  if (config.storage_key.size() != crypto::Aes128::kKeySize)
+    throw std::invalid_argument(
+        "DurabilityConfig::storage_key must be 16 bytes");
   util::ensure_directory(config.dir);
+  for (const char* retired :
+       {"records.snap", "enroll.snap", "registry.snap", "sessions.snap"}) {
+    const auto path = config.dir + "/" + retired;
+    if (util::file_exists(path))
+      throw PersistenceError("durability: retired per-store snapshot " +
+                             path + " (this layout keeps state.snap only)");
+  }
   return config.dir + "/journal.wal";
 }
 
@@ -44,60 +50,20 @@ auto replay_guard(const char* what, Fn&& fn) {
   }
 }
 
-/// Handshake-ordinal snapshot body: u32 count | (u64 device, u64 seq)*.
-/// Without this, compaction would truncate the kHandshake journal
-/// records and a later restart could rewind a device's RndB ordinal.
-std::vector<std::uint8_t> encode_sessions_body(const SessionAuthTable& table) {
-  const auto seqs = table.handshake_seqs();
-  util::ByteWriter body;
-  body.u32(static_cast<std::uint32_t>(seqs.size()));
-  for (const auto& [device, seq] : seqs) {
-    body.u64(device);
-    body.u64(seq);
-  }
-  return body.take();
-}
-
-std::vector<std::pair<std::uint64_t, std::uint64_t>> decode_sessions_body(
-    std::span<const std::uint8_t> body) {
-  return replay_guard("decode_sessions_body", [&] {
-    util::ByteReader in(body);
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> seqs;
-    const std::uint32_t count = in.count_u32(8 + 8);
-    seqs.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const std::uint64_t device = in.u64();
-      seqs.emplace_back(device, in.u64());
-    }
-    in.expect_done("decode_sessions_body");
-    return seqs;
-  });
-}
-
 }  // namespace
 
 DurableState::DurableState(DurabilityConfig config)
     : config_(std::move(config)),
-      journal_(journal_file_for(config_),
-               Journal::Config{config_.fsync}) {
+      journal_(open_state_dir(config_), Journal::Config{config_.fsync}) {
   // A crash between write_file_atomic's tmp fsync and its rename
-  // strands a fully sealed <store>.snap.tmp whose nonces recovery never
-  // reads; drop stale tmps before anything else so the stranded
-  // ciphertext cannot outlive the nonce accounting.
-  bool removed_tmp = false;
-  for (const auto& path :
-       {records_snapshot_path(), enroll_snapshot_path(),
-        registry_snapshot_path(), sessions_snapshot_path()})
-    removed_tmp |= util::remove_file(path + ".tmp");
-  if (removed_tmp) util::sync_parent_dir(records_snapshot_path());
-  if (!config_.storage_key.empty()) {
-    auto normalized =
-        crypto::normalize_cmac_key(config_.storage_key);  // medsen: secret
-    seal_key_.adopt(crypto::kdf_cmac(normalized, "medsen-store", {},
-                                     crypto::Aes128::kKeySize));
-    util::secure_wipe(normalized);
-    bump_seal_epoch();
-  }
+  // strands a fully sealed state.snap.tmp whose nonce recovery never
+  // reads; drop it before anything else so the stranded ciphertext
+  // cannot outlive the nonce accounting.
+  if (util::remove_file(snapshot_path() + ".tmp"))
+    util::sync_parent_dir(snapshot_path());
+  seal_key_.adopt(crypto::kdf_cmac(config_.storage_key, "medsen-store", {},
+                                   crypto::Aes128::kKeySize));
+  bump_seal_epoch();
 }
 
 void DurableState::bump_seal_epoch() {
@@ -131,17 +97,8 @@ void DurableState::bump_seal_epoch() {
 std::string DurableState::journal_path() const {
   return config_.dir + "/journal.wal";
 }
-std::string DurableState::records_snapshot_path() const {
-  return config_.dir + "/records.snap";
-}
-std::string DurableState::enroll_snapshot_path() const {
-  return config_.dir + "/enroll.snap";
-}
-std::string DurableState::registry_snapshot_path() const {
-  return config_.dir + "/registry.snap";
-}
-std::string DurableState::sessions_snapshot_path() const {
-  return config_.dir + "/sessions.snap";
+std::string DurableState::snapshot_path() const {
+  return config_.dir + "/state.snap";
 }
 std::string DurableState::seal_epoch_path() const {
   return config_.dir + "/seal.epoch";
@@ -149,12 +106,6 @@ std::string DurableState::seal_epoch_path() const {
 
 std::vector<std::uint8_t> DurableState::seal_payload(
     std::vector<std::uint8_t> payload) {
-  util::ByteWriter out;
-  if (seal_key_.empty()) {
-    out.u8(0);
-    out.bytes(payload);
-    return out.take();
-  }
   const std::uint64_t nonce =
       nonce_.fetch_add(1, std::memory_order_relaxed);
   // A nonce outside this boot's epoch partition could collide with one
@@ -169,68 +120,41 @@ std::vector<std::uint8_t> DurableState::seal_payload(
           seal_key_.data(), crypto::Aes128::kKeySize),
       nonce);
   ctr.apply(payload);
+  util::ByteWriter out;
   out.u8(1);
   out.u64(nonce);
   out.bytes(payload);
   return out.take();
 }
 
-std::vector<std::uint8_t> DurableState::unseal_payload(
-    std::span<const std::uint8_t> flagged) {
-  return replay_guard("unseal_payload", [&]() -> std::vector<std::uint8_t> {
-    util::ByteReader in(flagged);
-    const std::uint8_t sealed = in.u8();
-    if (sealed == 0) {
-      std::vector<std::uint8_t> plain(flagged.begin() + 1, flagged.end());
-      return plain;
-    }
-    if (sealed != 1)
-      throw PersistenceError("durability: unknown sealing flag");
-    if (seal_key_.empty())
+std::span<const std::uint8_t> DurableState::unseal_payload(
+    std::span<std::uint8_t> sealed) {
+  const std::uint64_t nonce = replay_guard("unseal_payload", [&] {
+    util::ByteReader in(sealed);
+    const std::uint8_t flag = in.u8();
+    if (flag == 0)
       throw PersistenceError(
-          "durability: sealed payload but no storage key configured");
-    const std::uint64_t nonce = in.u64();
-    // Defense in depth: keep the counter ahead of every nonce actually
-    // observed. The real reuse guarantee is the epoch partition (state
-    // written by pre-epoch builds, or after a rewound seal.epoch file,
-    // can carry nonces at or above this boot's base — raising past them
-    // makes seal_payload fail closed rather than reuse).
-    std::uint64_t expected = nonce_.load(std::memory_order_relaxed);
-    while (nonce + 1 > expected &&
-           !nonce_.compare_exchange_weak(expected, nonce + 1,
-                                         std::memory_order_relaxed)) {
-    }
-    std::vector<std::uint8_t> plain(flagged.begin() + 9, flagged.end());
-    crypto::Aes128Ctr ctr(
-        std::span<const std::uint8_t, crypto::Aes128::kKeySize>(
-            seal_key_.data(), crypto::Aes128::kKeySize),
-        nonce);
-    ctr.apply(plain);
-    return plain;
+          "durability: unsealed (flag 0) payloads are retired");
+    if (flag != 1) throw PersistenceError("durability: unknown sealing flag");
+    return in.u64();
   });
-}
-
-void DurableState::write_snapshot(const std::string& path,
-                                  std::uint32_t magic,
-                                  std::uint64_t applied_lsn,
-                                  std::vector<std::uint8_t> body) {
-  util::ByteWriter outer;
-  outer.u64(applied_lsn);
-  outer.blob(seal_payload(std::move(body)));
-  util::write_file_atomic(path, seal_blob(magic, outer.take()));
-}
-
-std::pair<std::uint64_t, std::vector<std::uint8_t>>
-DurableState::read_snapshot(const std::string& path, std::uint32_t magic) {
-  if (!util::file_exists(path)) return {0, {}};
-  const auto outer = unseal_blob(magic, util::read_file(path));
-  return replay_guard("read_snapshot", [&] {
-    util::ByteReader in(outer);
-    const std::uint64_t applied_lsn = in.u64();
-    const auto flagged = in.blob();
-    in.expect_done("read_snapshot");
-    return std::make_pair(applied_lsn, unseal_payload(flagged));
-  });
+  // Defense in depth: keep the counter ahead of every nonce actually
+  // observed. The real reuse guarantee is the epoch partition (state
+  // written after a rewound seal.epoch file can carry nonces at or above
+  // this boot's base — raising past them makes seal_payload fail closed
+  // rather than reuse).
+  std::uint64_t expected = nonce_.load(std::memory_order_relaxed);
+  while (nonce + 1 > expected &&
+         !nonce_.compare_exchange_weak(expected, nonce + 1,
+                                       std::memory_order_relaxed)) {
+  }
+  const auto plain = sealed.subspan(9);
+  crypto::Aes128Ctr ctr(
+      std::span<const std::uint8_t, crypto::Aes128::kKeySize>(
+          seal_key_.data(), crypto::Aes128::kKeySize),
+      nonce);
+  ctr.apply(plain);
+  return plain;
 }
 
 RecoveryStats DurableState::recover_into(CloudServer& server) {
@@ -238,59 +162,44 @@ RecoveryStats DurableState::recover_into(CloudServer& server) {
   RecoveryStats stats;
   stats.tail_truncated = journal_.open_stats().tail_truncated;
 
-  // Snapshots first. Each store is gated on its own applied_lsn, so a
-  // crash between compaction's snapshot writes (mixed generations) still
-  // replays exactly the missing suffix per store.
-  // Each apply loop runs under replay_guard like journal replay below:
-  // a snapshot/server mismatch (wrong alphabet, duplicate user) must
+  // The snapshot first. It is one file replaced by one rename, so it is
+  // wholly the previous compaction's or wholly the latest's. It is
+  // decrypted in the file's own buffer, which the store decoders read.
+  // Restores run under replay_guard like journal replay below: a
+  // snapshot/server mismatch (wrong alphabet, duplicate user) must
   // surface as the typed PersistenceError the persistence contract
   // documents, not a raw invalid_argument out of recovery.
-  const auto [records_lsn, records_body] =
-      read_snapshot(records_snapshot_path(), kSnapRecordMagic);
-  if (records_lsn != 0 || !records_body.empty()) {
-    replay_guard("snapshot restore (records)", [&] {
-      for (auto& [key, records] : decode_records_body(records_body))
+  std::uint64_t applied_lsn = 0;
+  if (util::file_exists(snapshot_path())) {
+    auto body =
+        unseal_blob(kStateSnapshotMagic, util::read_file(snapshot_path()));
+    const auto [lsn, sealed] = split_state_snapshot(body);
+    applied_lsn = lsn;
+    const StateBodies stores = split_state_body(unseal_payload(sealed));
+    replay_guard("snapshot restore", [&] {
+      for (auto& [key, records] : decode_records_body(stores.records))
         server.records().restore(key, std::move(records));
-    });
-    stats.snapshots_loaded = true;
-  }
-  const auto [enroll_lsn, enroll_body] =
-      read_snapshot(enroll_snapshot_path(), kSnapEnrollMagic);
-  if (enroll_lsn != 0 || !enroll_body.empty()) {
-    replay_guard("snapshot restore (enrollments)", [&] {
-      const auto db = decode_enrollments_body(enroll_body);
+      const auto db = decode_enrollments_body(stores.enrollments);
       for (const auto& record : db.records())
         server.enrollments().enroll(record.user_id, record.code);
-    });
-    stats.snapshots_loaded = true;
-  }
-  const auto [registry_lsn, registry_body] =
-      read_snapshot(registry_snapshot_path(), kSnapRegistryMagic);
-  if (registry_lsn != 0 || !registry_body.empty()) {
-    replay_guard("snapshot restore (registry)", [&] {
-      server.devices().restore(decode_registry_body(registry_body));
-    });
-    stats.snapshots_loaded = true;
-  }
-  const auto [sessions_lsn, sessions_body] =
-      read_snapshot(sessions_snapshot_path(), kSnapSessionMagic);
-  if (sessions_lsn != 0 || !sessions_body.empty()) {
-    replay_guard("snapshot restore (sessions)", [&] {
-      for (const auto& [device, seq] : decode_sessions_body(sessions_body))
+      server.devices().restore(decode_registry_body(stores.registry));
+      for (const auto& [device, seq] : decode_sessions_body(stores.sessions))
         server.sessions().restore_handshake_seq(device, seq);
     });
     stats.snapshots_loaded = true;
   }
 
-  // The snapshots are the only carrier of the LSN sequence across a
-  // crash that lands between compaction's truncate and the next append:
-  // push their high-water mark back into the journal before anything new
-  // is appended, or fresh records would reuse gated-out LSNs.
-  journal_.raise_lsn_floor(std::max({records_lsn, enroll_lsn, registry_lsn,
-                                     sessions_lsn}));
+  // The snapshot is the only carrier of the LSN sequence across a crash
+  // that lands between compaction's truncate and the next append: push
+  // its LSN back into the journal before anything new is appended, or
+  // fresh records would reuse LSNs the snapshot already covers.
+  journal_.raise_lsn_floor(applied_lsn);
 
-  // Journal replay, LSN-gated per store.
-  for (const auto& record : journal_.take_recovered()) {
+  // Journal replay of everything the snapshot does not cover. Records at
+  // or below applied_lsn are still on disk only when a crash landed
+  // between the snapshot's rename and the journal's truncation.
+  for (auto& record : journal_.take_recovered()) {
+    if (record.lsn <= applied_lsn) continue;
     const auto payload = unseal_payload(record.payload);
     replay_guard("journal replay", [&] {
       util::ByteReader in(payload);
@@ -301,7 +210,6 @@ RecoveryStats DurableState::recover_into(CloudServer& server) {
           stored.session_id = in.u64();
           stored.encrypted_result = in.blob();
           in.expect_done("replay kRecordStored");
-          if (record.lsn <= records_lsn) return;
           server.records().append(key, std::move(stored));
           ++stats.stored_records;
           break;
@@ -310,7 +218,6 @@ RecoveryStats DurableState::recover_into(CloudServer& server) {
           const std::string user = in.str();
           const auto code = auth::deserialize_code(in.blob());
           in.expect_done("replay kUserEnrolled");
-          if (record.lsn <= enroll_lsn) return;
           server.enrollments().enroll(user, code);
           ++stats.user_enrollments;
           break;
@@ -318,7 +225,6 @@ RecoveryStats DurableState::recover_into(CloudServer& server) {
         case JournalRecordType::kDeviceEnrolled: {
           const std::uint64_t id = in.u64();
           in.expect_done("replay kDeviceEnrolled");
-          if (record.lsn <= registry_lsn) return;
           server.devices().enroll(id);
           ++stats.registry_events;
           break;
@@ -326,7 +232,6 @@ RecoveryStats DurableState::recover_into(CloudServer& server) {
         case JournalRecordType::kDeviceRevoked: {
           const std::uint64_t id = in.u64();
           in.expect_done("replay kDeviceRevoked");
-          if (record.lsn <= registry_lsn) return;
           server.devices().revoke(id);
           ++stats.registry_events;
           break;
@@ -335,7 +240,6 @@ RecoveryStats DurableState::recover_into(CloudServer& server) {
           const std::uint32_t epoch = in.u32();
           auto master = in.blob();
           in.expect_done("replay kMasterRotated");
-          if (record.lsn <= registry_lsn) return;
           server.devices().set_master_key(epoch, std::move(master));
           ++stats.registry_events;
           break;
@@ -343,7 +247,6 @@ RecoveryStats DurableState::recover_into(CloudServer& server) {
         case JournalRecordType::kEpochRetired: {
           const std::uint32_t epoch = in.u32();
           in.expect_done("replay kEpochRetired");
-          if (record.lsn <= registry_lsn) return;
           server.devices().retire_epoch(epoch);
           ++stats.registry_events;
           break;
@@ -352,7 +255,6 @@ RecoveryStats DurableState::recover_into(CloudServer& server) {
           const std::uint64_t device = in.u64();
           const std::uint64_t seq = in.u64();
           in.expect_done("replay kHandshake");
-          if (record.lsn <= sessions_lsn) return;
           server.sessions().restore_handshake_seq(device, seq);
           ++stats.handshake_marks;
           break;
@@ -462,17 +364,17 @@ void DurableState::compact(CloudServer& server) {
   gate_.with(0, [&](Gate&) {
     if (journal_.appended_since_compaction() == 0) return;
     util::crash_point("durability.compact.begin");
-    const std::uint64_t lsn = journal_.last_lsn();
-    write_snapshot(records_snapshot_path(), kSnapRecordMagic, lsn,
-                   encode_records_body(server.records()));
-    util::crash_point("durability.compact.records_written");
-    write_snapshot(enroll_snapshot_path(), kSnapEnrollMagic, lsn,
-                   encode_enrollments_body(server.enrollments()));
-    write_snapshot(registry_snapshot_path(), kSnapRegistryMagic, lsn,
-                   encode_registry_body(server.devices()));
-    write_snapshot(sessions_snapshot_path(), kSnapSessionMagic, lsn,
-                   encode_sessions_body(server.sessions()));
-    util::crash_point("durability.compact.snapshots_written");
+    // One file, one rename: a crash leaves the previous snapshot or this
+    // one, never stores from two generations.
+    util::write_file_atomic(
+        snapshot_path(),
+        encode_state_snapshot(
+            journal_.last_lsn(),
+            seal_payload(encode_state_body(server.records(),
+                                           server.enrollments(),
+                                           server.devices(),
+                                           server.sessions()))));
+    util::crash_point("durability.compact.snapshot_written");
     journal_.truncate_all();
     util::crash_point("durability.compact.done");
   });

@@ -1,31 +1,31 @@
 #pragma once
 // cloud::DurableState — the crash-consistency layer for one CloudServer.
-// It owns a write-ahead journal plus four LSN-stamped compaction
-// snapshots (records, enrollments, registry, handshake ordinals), and
-// enforces the
-// ack ⇒ durable contract: every server-side mutation is appended (and
-// fsync'd) to the journal *and applied to memory under the same lock*
-// before the caller may acknowledge it, so a compaction snapshot can
-// never observe memory ahead of or behind the LSN it stamps.
+// It owns a write-ahead journal plus one LSN-stamped compaction
+// snapshot, state.snap, which holds every store (records, enrollments,
+// registry, handshake ordinals) and is replaced by a single atomic
+// rename. It enforces the ack ⇒ durable contract: every server-side
+// mutation is appended (and fsync'd) to the journal *and applied to
+// memory under the same lock* before the caller may acknowledge it, so
+// a compaction snapshot can never observe memory ahead of or behind the
+// LSN it stamps.
 //
-// Recovery = load snapshots, then replay every journal record whose LSN
-// is newer than the matching snapshot's applied_lsn. Replay is
-// idempotent across mixed-generation snapshots because each store is
-// gated on its own applied_lsn.
+// Recovery = load state.snap, then replay every journal record whose
+// LSN is above the snapshot's applied_lsn. A crash during compaction
+// leaves either the previous snapshot or the new one, never a mix.
 //
-// Secrets at rest: when `storage_key` is set, every journal payload and
-// every snapshot body is sealed with AES-128-CTR under a key derived
-// once from the storage key. Nonces are epoch-partitioned: a boot
-// counter persisted in seal.epoch is durably bumped at every open and
-// forms the high 32 bits of each nonce, so every process lifetime seals
-// in a disjoint nonce space. Counting only nonces *observed* during
-// recovery is not enough — a crash between write_file_atomic's tmp
-// fsync and its rename strands a fully sealed <store>.snap.tmp that
-// recovery never reads, and a torn final journal record consumes a
-// nonce the tail-truncation hides; either way a restart that resumed at
+// Secrets at rest: every journal payload and the snapshot body are
+// sealed with AES-128-CTR under a key derived once from the (required,
+// 16-byte) storage key. Nonces are epoch-partitioned: a boot counter
+// persisted in seal.epoch is durably bumped at every open and forms the
+// high 32 bits of each nonce, so every process lifetime seals in a
+// disjoint nonce space. Counting only nonces *observed* during recovery
+// is not enough — a crash between write_file_atomic's tmp fsync and its
+// rename strands a fully sealed state.snap.tmp that recovery never
+// reads, and a torn final journal record consumes a nonce the
+// tail-truncation hides; either way a restart that resumed at
 // max(observed)+1 would re-issue a live nonce and two ciphertexts under
 // one keystream would coexist on disk (XOR of ciphertexts = XOR of
-// plaintexts). Stale .snap.tmp files are also unlinked at open so the
+// plaintexts). A stale state.snap.tmp is also unlinked at open so the
 // stranded ciphertext itself cannot linger.
 //
 // Handshake ordinals are journaled too (kHandshake): the server's
@@ -54,7 +54,7 @@ class CloudServer;
 
 struct DurabilityConfig {
   /// State directory (created if missing). Holds journal.wal,
-  /// records.snap, enroll.snap, registry.snap, sessions.snap.
+  /// state.snap and seal.epoch.
   std::string dir;
   /// fsync each journal append (the ack ⇒ durable contract); off only
   /// for benches measuring the in-memory path.
@@ -62,8 +62,8 @@ struct DurabilityConfig {
   /// Compact (snapshot + truncate the journal) once this many records
   /// have been appended since the last compaction (0 = manual only).
   std::uint64_t compact_after_records = 4096;
-  /// When non-empty, seals journal payloads and snapshot bodies
-  /// (AES-128-CTR under a derived key). Empty = plaintext (tests only).
+  /// Seals journal payloads and the snapshot body (AES-128-CTR under a
+  /// derived key). Required: exactly 16 bytes.
   std::vector<std::uint8_t> storage_key;
 };
 
@@ -84,10 +84,13 @@ struct RecoveryStats {
 class DurableState {
  public:
   /// Opens (or creates) the journal under config.dir. Throws
-  /// PersistenceError on corrupt on-disk state.
+  /// std::invalid_argument for a storage key that is not 16 bytes
+  /// (before touching disk), and PersistenceError on corrupt on-disk
+  /// state or a per-store snapshot file (records.snap, enroll.snap,
+  /// registry.snap, sessions.snap) left by an older layout.
   explicit DurableState(DurabilityConfig config);
 
-  /// Load snapshots and replay the journal into the server's stores.
+  /// Load the snapshot and replay the journal into the server's stores.
   /// Call exactly once, before any log_* hook (CloudServer::
   /// attach_durability does both in order).
   RecoveryStats recover_into(CloudServer& server);
@@ -118,9 +121,9 @@ class DurableState {
   /// Handshake ordinal burned (already bumped in memory by the caller).
   void log_handshake(std::uint64_t device_id, std::uint64_t seq);
 
-  /// Snapshot all stores (stamped with the journal's current LSN)
-  /// and truncate the journal. Blocks concurrent log_* calls for the
-  /// duration; crash-safe at every intermediate point.
+  /// Snapshot all stores into state.snap (stamped with the journal's
+  /// current LSN) and truncate the journal. Blocks concurrent log_*
+  /// calls for the duration; crash-safe at every intermediate point.
   void compact(CloudServer& server);
   /// compact() iff the auto-compaction threshold has been reached.
   void maybe_compact(CloudServer& server);
@@ -130,14 +133,8 @@ class DurableState {
     return recovery_;
   }
   [[nodiscard]] std::string journal_path() const;
-  [[nodiscard]] std::string records_snapshot_path() const;
-  [[nodiscard]] std::string enroll_snapshot_path() const;
-  [[nodiscard]] std::string registry_snapshot_path() const;
-  /// Handshake-ordinal snapshot — without it, compaction would truncate
-  /// kHandshake records and a restart could rewind RndB freshness.
-  [[nodiscard]] std::string sessions_snapshot_path() const;
-  /// The persisted sealing-nonce boot epoch (present only when a
-  /// storage key is configured).
+  [[nodiscard]] std::string snapshot_path() const;
+  /// The persisted sealing-nonce boot epoch.
   [[nodiscard]] std::string seal_epoch_path() const;
 
  private:
@@ -155,27 +152,22 @@ class DurableState {
                         const std::function<void()>& validate,
                         const std::function<void()>& apply);
   /// Durably bump (and load) the seal.epoch boot counter; called once
-  /// at construction when sealing is enabled, before any seal_payload.
+  /// at construction, before any seal_payload.
   void bump_seal_epoch();
-  /// Flag-prefixed payload sealing: u8 0 | plaintext, or
-  /// u8 1 | u64 nonce | ciphertext when a storage key is configured.
+  /// Payload sealing: u8 1 | u64 nonce | ciphertext.
   [[nodiscard]] std::vector<std::uint8_t> seal_payload(
       std::vector<std::uint8_t> payload);
-  [[nodiscard]] std::vector<std::uint8_t> unseal_payload(
-      std::span<const std::uint8_t> flagged);
-  void write_snapshot(const std::string& path, std::uint32_t magic,
-                      std::uint64_t applied_lsn,
-                      std::vector<std::uint8_t> body);
-  /// Returns (applied_lsn, body) or applied_lsn 0 when the file is
-  /// absent.
-  [[nodiscard]] std::pair<std::uint64_t, std::vector<std::uint8_t>>
-  read_snapshot(const std::string& path, std::uint32_t magic);
+  /// Decrypts a sealed payload in place and returns the plaintext view.
+  /// Any flag but 1 (including the retired plaintext flag 0) throws
+  /// PersistenceError.
+  [[nodiscard]] std::span<const std::uint8_t> unseal_payload(
+      std::span<std::uint8_t> sealed);
 
   DurabilityConfig config_;
   Journal journal_;
-  util::SecretBytes seal_key_;  ///< derived once; empty = plaintext
+  util::SecretBytes seal_key_;  ///< derived once from the storage key
   /// This boot's sealing-nonce epoch (high 32 nonce bits), from
-  /// seal.epoch. 0 = sealing disabled.
+  /// seal.epoch.
   std::uint64_t seal_epoch_ = 0;
   /// Next sealing nonce: seal_epoch_ << 32 | in-boot counter. Disjoint
   /// per process lifetime — see the header comment.

@@ -55,19 +55,21 @@ std::vector<std::uint8_t> seal_blob(std::uint32_t magic,
 }
 
 std::vector<std::uint8_t> unseal_blob(std::uint32_t magic,
-                                      std::span<const std::uint8_t> file) {
-  return decode_guard("unseal", [&] {
+                                      std::vector<std::uint8_t> file) {
+  const std::size_t header = decode_guard("unseal", [&] {
     util::ByteReader in(file);
     if (in.u32() != magic) throw PersistenceError("persistence: bad magic");
     if (in.u32() != kVersion)
       throw PersistenceError("persistence: unsupported version");
     const std::uint32_t crc = in.u32();
-    auto body = in.blob();
+    const auto body = in.blob_view();
     if (compress::crc32(body) != crc)
       throw PersistenceError("persistence: CRC mismatch");
     in.expect_done("unseal");
-    return body;
+    return file.size() - body.size();
   });
+  file.erase(file.begin(), file.begin() + static_cast<long>(header));
+  return file;
 }
 
 std::vector<std::uint8_t> encode_enrollments_body(
@@ -182,6 +184,76 @@ RegistrySnapshot decode_registry_body(std::span<const std::uint8_t> body) {
       snap.revoked.push_back(in.u64());
     in.expect_done("decode_registry_body");
     return snap;
+  });
+}
+
+std::vector<std::uint8_t> encode_sessions_body(const SessionAuthTable& table) {
+  const auto seqs = table.handshake_seqs();
+  util::ByteWriter body;
+  body.u32(static_cast<std::uint32_t>(seqs.size()));
+  for (const auto& [device, seq] : seqs) {
+    body.u64(device);
+    body.u64(seq);
+  }
+  return body.take();
+}
+
+std::vector<std::pair<std::uint64_t, std::uint64_t>> decode_sessions_body(
+    std::span<const std::uint8_t> body) {
+  return decode_guard("decode_sessions_body", [&] {
+    util::ByteReader in(body);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> seqs;
+    const std::uint32_t count = in.count_u32(8 + 8);
+    seqs.reserve(count);
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::uint64_t device = in.u64();
+      seqs.emplace_back(device, in.u64());
+    }
+    in.expect_done("decode_sessions_body");
+    return seqs;
+  });
+}
+
+std::vector<std::uint8_t> encode_state_snapshot(
+    std::uint64_t applied_lsn, std::span<const std::uint8_t> sealed) {
+  util::ByteWriter body;
+  body.u64(applied_lsn);
+  body.blob(sealed);
+  return seal_blob(kStateSnapshotMagic, body.take());
+}
+
+std::pair<std::uint64_t, std::span<std::uint8_t>> split_state_snapshot(
+    std::span<std::uint8_t> body) {
+  return decode_guard("split_state_snapshot", [&] {
+    util::ByteReader in(body);
+    const std::uint64_t applied_lsn = in.u64();
+    const std::size_t sealed_size = in.blob_view().size();
+    in.expect_done("split_state_snapshot");
+    return std::make_pair(applied_lsn, body.last(sealed_size));
+  });
+}
+
+std::vector<std::uint8_t> encode_state_body(
+    const RecordStore& records, const auth::EnrollmentDatabase& enrollments,
+    const DeviceRegistry& registry, const SessionAuthTable& sessions) {
+  util::ByteWriter body;
+  body.blob(encode_records_body(records));
+  body.blob(encode_enrollments_body(enrollments));
+  body.blob(encode_registry_body(registry));
+  body.blob(encode_sessions_body(sessions));
+  return body.take();
+}
+
+StateBodies split_state_body(std::span<const std::uint8_t> body) {
+  return decode_guard("split_state_body", [&] {
+    util::ByteReader in(body);
+    StateBodies bodies;
+    bodies.records = in.blob_view();
+    bodies.enrollments = in.blob_view();
+    bodies.registry = in.blob_view();
+    bodies.sessions = in.blob_view();
+    in.expect_done("split_state_body");
+    return bodies;
   });
 }
 

@@ -9,7 +9,6 @@
 #include "compress/codec.h"
 #include "crypto/cmac.h"
 #include "util/csv.h"
-#include "util/secure_zero.h"
 #include "util/serialize.h"
 
 namespace medsen::cloud {
@@ -34,18 +33,6 @@ CloudServer::CloudServer(AnalysisConfig analysis_config,
   if (service.allow_legacy_plane)
     throw std::invalid_argument(
         "ServiceConfig::allow_legacy_plane: the static-key plane is retired");
-  dispatch_.add(net::MessageType::kSignalUpload,
-                [this](const net::Envelope& request, RequestContext& context) {
-                  return serve_upload(request, context);
-                });
-  dispatch_.add(net::MessageType::kAuthPass,
-                [this](const net::Envelope& request, RequestContext& context) {
-                  return serve_auth_pass(request, context);
-                });
-  dispatch_.add(net::MessageType::kAuthChallenge,
-                [this](const net::Envelope& request, RequestContext& context) {
-                  return serve_handshake(request, context);
-                });
 }
 
 RecoveryStats CloudServer::attach_durability(DurableState& durable) {
@@ -305,8 +292,8 @@ net::Envelope CloudServer::handle(const net::Envelope& request) {
     }
   }
 
-  // 5. Dispatch through the handler registry. Handlers report failures
-  // as ServiceResult values; decoder throws on MAC-valid garbage are
+  // 5. Dispatch on the message type. Handlers report failures as
+  // ServiceResult values; decoder throws on MAC-valid garbage are
   // converted to kMalformed at this boundary.
   RequestContext context;
   context.device_id = request.device_id;
@@ -315,17 +302,25 @@ net::Envelope CloudServer::handle(const net::Envelope& request) {
 
   ServiceResult result;
   const auto started = std::chrono::steady_clock::now();
-  if (const auto* handler = dispatch_.find(request.type)) {
-    try {
-      result = (*handler)(request, context);
-    } catch (const std::exception& e) {
-      result = ServiceResult::failure(net::ErrorCode::kMalformed, e.what());
+  try {
+    switch (request.type) {
+      case net::MessageType::kSignalUpload:
+        result = serve_upload(request, context);
+        break;
+      case net::MessageType::kAuthPass:
+        result = serve_auth_pass(request, context);
+        break;
+      case net::MessageType::kAuthChallenge:
+        result = serve_handshake(request, context);
+        break;
+      default:
+        result = ServiceResult::failure(
+            net::ErrorCode::kMalformed,
+            "no handler for message type " +
+                std::to_string(static_cast<unsigned>(request.type)));
     }
-  } else {
-    result = ServiceResult::failure(
-        net::ErrorCode::kMalformed,
-        "no handler for message type " +
-            std::to_string(static_cast<unsigned>(request.type)));
+  } catch (const std::exception& e) {
+    result = ServiceResult::failure(net::ErrorCode::kMalformed, e.what());
   }
   context.processing_time_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -435,11 +430,9 @@ ServiceResult CloudServer::serve_handshake(const net::Envelope& request,
   nonce_context.u64(request.device_id);
   nonce_context.u64(seq);
   nonce_context.bytes(challenge.challenge);
-  auto normalized = crypto::normalize_cmac_key(context.mac_key);  // medsen: secret
   const auto rnd_b_bytes = crypto::kdf_cmac(
-      normalized, "medsen-chal",
-      nonce_context.data(), net::AuthResponsePayload::kNonceSize);
-  util::secure_wipe(normalized);
+      context.mac_key, "medsen-chal", nonce_context.data(),
+      net::AuthResponsePayload::kNonceSize);
 
   net::AuthResponsePayload response;
   std::copy(rnd_b_bytes.begin(), rnd_b_bytes.end(),

@@ -4,7 +4,7 @@
 // it admits (or sheds) the request, resolves the sender's MAC key (the
 // epoch-derived long-term key for a handshake, the negotiated session
 // key for every command), verifies the envelope, consults the idempotent
-// session cache, and routes through the handler registry. Every failure
+// session cache, and dispatches on the message type. Every failure
 // travels back as a kError envelope with a structured ErrorPayload;
 // exceptions never cross the service boundary. Curious-but-honest: the
 // server follows the protocol faithfully but sees only ciphertext
@@ -155,8 +155,8 @@ class CloudServer {
   [[nodiscard]] std::uint64_t replays_served() const;
 
  private:
-  /// Handlers (registered on MessageType in the constructor). They run
-  /// after admission + device resolution + MAC verification.
+  /// Handlers, dispatched on MessageType by handle(). They run after
+  /// admission + device resolution + MAC verification.
   ServiceResult serve_upload(const net::Envelope& request,
                              RequestContext& context);
   ServiceResult serve_auth_pass(const net::Envelope& request,
@@ -187,7 +187,6 @@ class CloudServer {
   RecordStore store_;
   DeviceRegistry devices_;
   AdmissionGate admission_;
-  Dispatcher dispatch_;
   std::atomic<bool> quality_gate_{true};
   SessionCache cache_;
   SessionAuthTable sessions_;

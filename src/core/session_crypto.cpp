@@ -1,5 +1,6 @@
 #include "core/session_crypto.h"
 
+#include <stdexcept>
 #include <utility>
 
 #include "crypto/cmac.h"
@@ -21,7 +22,10 @@ SessionCrypto::SessionCrypto(std::uint64_t device_id,
     : device_id_(device_id),
       device_key_(std::move(device_key)),  // adopts: wipes caller's vector
       key_epoch_(key_epoch),
-      rng_(entropy_seed ^ kSessionCryptoSeedTag) {}
+      rng_(entropy_seed ^ kSessionCryptoSeedTag) {
+  if (device_key_.size() != crypto::Aes128::kKeySize)
+    throw std::invalid_argument("SessionCrypto: device key must be 16 bytes");
+}
 
 net::Envelope SessionCrypto::make_challenge(std::uint64_t session_id) {
   invalidate();

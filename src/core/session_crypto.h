@@ -34,7 +34,8 @@ class SessionCrypto {
   /// personalization — crypto::diversify_device_key(master, device_id,
   /// key_epoch), 16 bytes; `key_epoch` names the master-key epoch it was
   /// derived under. `entropy_seed` feeds the challenge RNG — same seed,
-  /// same handshake, by design.
+  /// same handshake, by design. Throws std::invalid_argument for a key
+  /// of any other length.
   SessionCrypto(std::uint64_t device_id, std::vector<std::uint8_t> device_key,
                 std::uint32_t key_epoch, std::uint64_t entropy_seed);
 

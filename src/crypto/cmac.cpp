@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "crypto/sha256.h"
 #include "util/secure_zero.h"
 #include "util/serialize.h"
 
@@ -105,17 +104,6 @@ std::vector<std::uint8_t> kdf_cmac(
   return out;
 }
 
-std::vector<std::uint8_t> normalize_cmac_key(
-    std::span<const std::uint8_t> key) {
-  if (key.size() == Aes128::kKeySize)
-    return std::vector<std::uint8_t>(key.begin(), key.end());
-  auto digest = sha256(key);  // medsen: secret
-  std::vector<std::uint8_t> normalized(digest.begin(),
-                                       digest.begin() + Aes128::kKeySize);
-  util::secure_wipe(digest);
-  return normalized;
-}
-
 std::vector<std::uint8_t> diversify_device_key(
     std::span<const std::uint8_t> master_key,
     std::uint64_t device_id, std::uint32_t key_epoch) {
@@ -135,11 +123,7 @@ std::vector<std::uint8_t> derive_session_mac_key(
   util::ByteWriter context;
   context.bytes(rnd_a);
   context.bytes(rnd_b);
-  auto normalized = normalize_cmac_key(device_key);  // medsen: secret
-  auto session_key = kdf_cmac(normalized, "medsen-ses-mac",
-                              context.data(), 32);
-  util::secure_wipe(normalized);
-  return session_key;
+  return kdf_cmac(device_key, "medsen-ses-mac", context.data(), 32);
 }
 
 CmacTag session_proof(
@@ -151,10 +135,7 @@ CmacTag session_proof(
   util::ByteWriter data;
   data.bytes(rnd_b);
   data.bytes(rnd_a);
-  auto normalized = normalize_cmac_key(device_key);  // medsen: secret
-  const auto proof = aes_cmac(normalized, data.data());
-  util::secure_wipe(normalized);
-  return proof;
+  return aes_cmac(device_key, data.data());
 }
 
 }  // namespace medsen::crypto

@@ -51,12 +51,6 @@ std::vector<std::uint8_t> kdf_cmac(
     const std::string& label, std::span<const std::uint8_t> context,
     std::size_t length);
 
-/// A CMAC-ready 16-byte key from an arbitrary-length transport key:
-/// identity for 16-byte keys (every diversified device key),
-/// SHA-256-truncate otherwise (e.g. a 32-byte storage key).
-std::vector<std::uint8_t> normalize_cmac_key(
-    std::span<const std::uint8_t> key);
-
 /// The per-device long-term key for a master-key epoch:
 /// KDF(master, "medsen-div", device_id || epoch), 16 bytes. Computed by
 /// the cloud registry on demand and burned into the device at
@@ -68,6 +62,8 @@ std::vector<std::uint8_t> diversify_device_key(
 /// The session envelope-MAC key (32 bytes, feeding HMAC-SHA256):
 /// KDF(device_key, "medsen-ses-mac", rnd_a || rnd_b). Both sides derive
 /// it independently after the handshake; it never travels on the wire.
+/// Both session helpers take the 16-byte device key and throw
+/// std::invalid_argument for any other length.
 std::vector<std::uint8_t> derive_session_mac_key(
     std::span<const std::uint8_t> device_key,
     std::span<const std::uint8_t> rnd_a,

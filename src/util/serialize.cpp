@@ -80,12 +80,16 @@ double ByteReader::f64() {
 }
 
 std::vector<std::uint8_t> ByteReader::blob() {
+  const auto view = blob_view();
+  return {view.begin(), view.end()};
+}
+
+std::span<const std::uint8_t> ByteReader::blob_view() {
   const std::uint32_t n = u32();
   need(n);
-  std::vector<std::uint8_t> out(data_.begin() + static_cast<long>(pos_),
-                                data_.begin() + static_cast<long>(pos_ + n));
+  const auto view = data_.subspan(pos_, n);
   pos_ += n;
-  return out;
+  return view;
 }
 
 std::string ByteReader::str() {

@@ -50,6 +50,8 @@ class ByteReader {
   std::uint64_t u64();
   double f64();
   std::vector<std::uint8_t> blob();
+  /// As blob(), but a view into the reader's buffer instead of a copy.
+  std::span<const std::uint8_t> blob_view();
   std::string str();
   std::vector<double> f64_vec();
 

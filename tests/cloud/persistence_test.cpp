@@ -99,7 +99,8 @@ TEST(PersistenceTest, TruncationRejected) {
   const auto sealed = seal_blob(kMagic, body);
   for (const std::size_t cut : {std::size_t{0}, std::size_t{7},
                                 sealed.size() / 2, sealed.size() - 1}) {
-    const std::span<const std::uint8_t> torn(sealed.data(), cut);
+    const std::vector<std::uint8_t> torn(
+        sealed.begin(), sealed.begin() + static_cast<long>(cut));
     EXPECT_THROW((void)unseal_blob(kMagic, torn), PersistenceError) << cut;
   }
   const std::span<const std::uint8_t> short_body(body.data(),

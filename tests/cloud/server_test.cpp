@@ -154,8 +154,11 @@ TEST(CloudServer, WrongDeviceKeyGetsBadMacError) {
 TEST(CloudServer, UnroutableTypeGetsMalformedError) {
   auto server = make_server();
   auto crypto = open_session(server, kDevice);
-  expect_error(server.handle(command(crypto, net::MessageType::kProgress, {})),
-               net::ErrorCode::kMalformed);
+  // A MAC-valid command of a type handle() has no case for.
+  const auto error = expect_error(
+      server.handle(command(crypto, net::MessageType::kProgress, {})),
+      net::ErrorCode::kMalformed);
+  EXPECT_EQ(error.detail, "no handler for message type 4");
 }
 
 TEST(CloudServer, UndecodablePayloadGetsMalformedError) {

@@ -291,7 +291,7 @@ TEST(SessionService, HandshakeRetransmitServedFromCache) {
 }
 
 // The registry's keying state through the durable snapshot codec (the
-// body DurableState seals into registry.snap).
+// registry body DurableState seals into state.snap).
 constexpr std::uint32_t kRegistryMagic = 0x4D445247;  // "MDRG"
 
 RegistrySnapshot round_trip(const DeviceRegistry& registry) {

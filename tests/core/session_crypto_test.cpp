@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "crypto/cmac.h"
@@ -142,7 +143,7 @@ TEST(SessionCrypto, InvalidateDropsTheSession) {
   const auto challenge = crypto.make_challenge(100);
   const std::vector<std::uint8_t> rnd_b(16, 0xb7);
   ASSERT_TRUE(crypto.complete(honest_response(challenge, key, rnd_b)));
-  crypto.next_counter();
+  EXPECT_EQ(crypto.next_counter(), 1u);
 
   crypto.invalidate();
   EXPECT_FALSE(crypto.active());
@@ -168,14 +169,11 @@ TEST(SessionCrypto, NewChallengeInvalidatesActiveSession) {
   EXPECT_FALSE(crypto.active());
 }
 
-// Legacy free-form (non-16-byte) provisioned keys must still handshake.
-TEST(SessionCrypto, LegacyFreeFormKeyHandshakes) {
+// Only 16-byte device keys can handshake: a free-form key (the retired
+// static-key plane's shape) is refused at construction.
+TEST(SessionCrypto, FreeFormKeyIsRejected) {
   const std::vector<std::uint8_t> legacy = {'l', 'e', 'g', 'a', 'c', 'y'};
-  SessionCrypto crypto(7, legacy, 0, 1234);
-  const auto challenge = crypto.make_challenge(100);
-  const std::vector<std::uint8_t> rnd_b(16, 0xb7);
-  ASSERT_TRUE(crypto.complete(honest_response(challenge, legacy, rnd_b)));
-  EXPECT_EQ(crypto.session_mac_key().size(), 32u);
+  EXPECT_THROW(SessionCrypto(7, legacy, 0, 1234), std::invalid_argument);
 }
 
 }  // namespace

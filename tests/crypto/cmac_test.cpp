@@ -129,61 +129,6 @@ TEST(Diversify, PerDeviceAndPerEpoch) {
   EXPECT_EQ(d1e0, diversify_device_key(master, 1, 0));
 }
 
-TEST(NormalizeKey, IdentityFor16Bytes) {
-  const auto key = from_hex(kRfcKey);
-  EXPECT_EQ(normalize_cmac_key(key), key);
-}
-
-TEST(NormalizeKey, HashesFreeFormLegacyKeys) {
-  const std::vector<std::uint8_t> legacy = {'s', 'e', 'c', 'r', 'e', 't'};
-  const auto normalized = normalize_cmac_key(legacy);
-  EXPECT_EQ(normalized.size(), 16u);
-  EXPECT_NE(normalized, legacy);
-  EXPECT_EQ(normalized, normalize_cmac_key(legacy));
-  // And the result is CMAC-usable.
-  EXPECT_NO_THROW(aes_cmac(normalized, {}));
-}
-
-// The non-identity path is SHA-256-truncate-to-16, so every edge case
-// below is pinned against published SHA-256 vectors: a change to the
-// normalization breaks interop with already-personalized devices, and
-// these tests make that change impossible to miss.
-
-TEST(NormalizeKey, EmptyKeyPinnedToSha256Prefix) {
-  // SHA-256("") = e3b0c442...; the first 16 bytes are the normalized key.
-  const auto normalized = normalize_cmac_key({});
-  EXPECT_EQ(hex_of(normalized), "e3b0c44298fc1c149afbf4c8996fb924");
-  EXPECT_NO_THROW(aes_cmac(normalized, {}));
-}
-
-TEST(NormalizeKey, ExactlySixteenBytesIsUntouched) {
-  // Identity must hold for *any* 16-byte value, not just the RFC key —
-  // all-zero and all-ff probe the boundary encodings.
-  const std::vector<std::uint8_t> zeros(16, 0x00);
-  const std::vector<std::uint8_t> ones(16, 0xff);
-  EXPECT_EQ(normalize_cmac_key(zeros), zeros);
-  EXPECT_EQ(normalize_cmac_key(ones), ones);
-}
-
-TEST(NormalizeKey, SeventeenBytesHashesPinned) {
-  // One byte past the identity boundary must hash, not truncate:
-  // SHA-256(17 x 00) = 0a88111852095cae045340ea1f0b2799...
-  const std::vector<std::uint8_t> key(17, 0x00);
-  const auto normalized = normalize_cmac_key(key);
-  EXPECT_EQ(hex_of(normalized), "0a88111852095cae045340ea1f0b2799");
-  // In particular it is NOT the first 16 bytes of the input.
-  EXPECT_NE(normalized, std::vector<std::uint8_t>(16, 0x00));
-}
-
-TEST(NormalizeKey, LongKeyPinnedToSha256Prefix) {
-  // SHA-256("The quick brown fox jumps over the lazy dog") =
-  // d7a8fbb307d7809469ca9abcb0082e4f... (43-byte input).
-  const std::string phrase = "The quick brown fox jumps over the lazy dog";
-  const std::vector<std::uint8_t> key(phrase.begin(), phrase.end());
-  const auto normalized = normalize_cmac_key(key);
-  EXPECT_EQ(hex_of(normalized), "d7a8fbb307d7809469ca9abcb0082e4f");
-}
-
 TEST(SessionKeys, BothSidesDeriveTheSameKey) {
   const auto device_key = from_hex(kRfcKey);
   const std::vector<std::uint8_t> rnd_a(16, 0xa1);
@@ -206,14 +151,16 @@ TEST(SessionKeys, ProofNeverDoublesAsKeyMaterial) {
   EXPECT_FALSE(constant_time_equal(proof, key_prefix));
 }
 
-// Free-form legacy keys must be handshake-capable: the session helpers
-// normalize internally instead of throwing on non-16-byte keys.
-TEST(SessionKeys, LegacyFreeFormKeysWork) {
+// Session keys derive from 16-byte device keys only: a free-form key
+// (the retired static-key plane's shape) is refused, not hashed to fit.
+TEST(SessionKeys, FreeFormKeysAreRejected) {
   const std::vector<std::uint8_t> legacy = {'d', 'e', 'v', '-', '4', '2'};
   const std::vector<std::uint8_t> rnd_a(16, 0x0a);
   const std::vector<std::uint8_t> rnd_b(16, 0x0b);
-  EXPECT_EQ(derive_session_mac_key(legacy, rnd_a, rnd_b).size(), 32u);
-  EXPECT_NO_THROW(session_proof(legacy, rnd_a, rnd_b));
+  EXPECT_THROW((void)derive_session_mac_key(legacy, rnd_a, rnd_b),
+               std::invalid_argument);
+  EXPECT_THROW((void)session_proof(legacy, rnd_a, rnd_b),
+               std::invalid_argument);
 }
 
 TEST(ConstantTime, EqualAndUnequal) {

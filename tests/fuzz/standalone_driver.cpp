@@ -52,7 +52,7 @@ int run_one(const std::vector<std::uint8_t>& input) {
 /// into the run we are, like libFuzzer's energy schedule (roughly).
 std::vector<std::uint8_t> mutate(std::vector<std::uint8_t> base,
                                  std::mt19937_64& rng) {
-  if (base.empty()) base.push_back(0);
+  if (base.empty()) base.assign(1, 0);
   const unsigned rounds = 1 + static_cast<unsigned>(rng() % 8);
   for (unsigned r = 0; r < rounds; ++r) {
     switch (rng() % 6) {

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
+#include <vector>
 
 #include "cloud/durability.h"
 #include "cloud/server.h"
@@ -22,15 +24,14 @@ namespace {
 std::string fresh_dir(const char* name) {
   const auto dir =
       std::string(::testing::TempDir()) + "/medsen_restart_" + name;
-  for (const char* file : {"journal.wal", "records.snap", "enroll.snap",
-                           "registry.snap", "sessions.snap", "seal.epoch"})
-    util::remove_file(dir + "/" + file);
+  std::filesystem::remove_all(dir);
   return dir;
 }
 
 cloud::DurabilityConfig config_for(const std::string& dir) {
   cloud::DurabilityConfig config;
   config.dir = dir;
+  config.storage_key = std::vector<std::uint8_t>(16, 0x3C);
   return config;
 }
 
@@ -178,7 +179,7 @@ TEST(Restart, TornWriteLeavesPreviousDatabaseLoadable) {
     Lifetime first(dir);
     first.server.enroll_user("bob", bob);
     first.durable.compact(first.server);
-    snapshot = first.durable.enroll_snapshot_path();
+    snapshot = first.durable.snapshot_path();
   }
 
   // Simulate a crash mid-compaction: a later snapshot write got as far
