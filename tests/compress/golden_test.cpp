@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -139,6 +140,14 @@ const GoldenCase kGolden[] = {
     {"empty", [] { return std::vector<std::uint8_t>{}; }, nullptr,
      "907b96ad6823f8e42db4e655dfa9b81d8c7db8f1aabcda444fa66b2a16f2df2b"},
 };
+
+// gtest names each case "<name>  # GetParam() = <printed value>", and ctest
+// keeps that comment in the test name. Without this printer gtest dumps the
+// struct's bytes, i.e. its pointers, so the name changed with every
+// address-space layout; the pinned digest prefix is stable and short.
+void PrintTo(const GoldenCase& c, std::ostream* os) {
+  *os << std::string(c.packed_sha256, 16);
+}
 
 class GoldenWireFormat : public ::testing::TestWithParam<GoldenCase> {};
 
